@@ -7,6 +7,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
+
 #include "src/common/symbols.h"
 #include "src/rule/binding.h"
 #include "src/rule/parser.h"
@@ -311,4 +313,4 @@ BENCHMARK(BM_GuaranteeCheckYFollowsX)->Arg(50)->Arg(200);
 }  // namespace
 }  // namespace hcm
 
-BENCHMARK_MAIN();
+HCM_BENCHMARK_MAIN();

@@ -10,6 +10,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "bench/bench_util.h"
+
 #include "src/common/rng.h"
 #include "src/common/sim_time.h"
 #include "src/rule/item.h"
@@ -457,4 +459,4 @@ BENCHMARK(BM_RecoverCompactedChain)
 }  // namespace
 }  // namespace hcm
 
-BENCHMARK_MAIN();
+HCM_BENCHMARK_MAIN();

@@ -34,22 +34,43 @@ inline void Banner(const char* experiment, const char* claim) {
 #define HCM_GIT_SHA "unknown"
 #endif
 
+inline const char* CompilerName() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
 // Writes the provenance fields of a --json file's "context" object, each
 // line ending in a comma: numbers from two files are comparable only when
 // these agree (and build_type is Release).
 inline void WriteProvenanceJson(FILE* f) {
-#if defined(__clang__)
-  const char* compiler = "clang " __clang_version__;
-#elif defined(__GNUC__)
-  const char* compiler = "gcc " __VERSION__;
-#else
-  const char* compiler = "unknown";
-#endif
   std::fprintf(f, "    \"build_type\": \"%s\",\n", HCM_BUILD_TYPE);
-  std::fprintf(f, "    \"compiler\": \"%s\",\n", compiler);
+  std::fprintf(f, "    \"compiler\": \"%s\",\n", CompilerName());
   std::fprintf(f, "    \"num_cpus\": %ld,\n", sysconf(_SC_NPROCESSORS_ONLN));
   std::fprintf(f, "    \"git_sha\": \"%s\",\n", HCM_GIT_SHA);
 }
+
+// BENCHMARK_MAIN() for the google-benchmark binaries, recording the same
+// provenance fields in the "context" of their --benchmark_format=json output
+// (and in the console header); google-benchmark writes num_cpus itself.
+// Needs <benchmark/benchmark.h>.
+#define HCM_BENCHMARK_MAIN()                                              \
+  int main(int argc, char** argv) {                                       \
+    ::benchmark::AddCustomContext("build_type", HCM_BUILD_TYPE);          \
+    ::benchmark::AddCustomContext("compiler",                             \
+                                  ::hcm::bench::CompilerName());          \
+    ::benchmark::AddCustomContext("git_sha", HCM_GIT_SHA);                \
+    ::benchmark::Initialize(&argc, argv);                                 \
+    if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;   \
+    ::benchmark::RunSpecifiedBenchmarks();                                \
+    ::benchmark::Shutdown();                                              \
+    return 0;                                                             \
+  }                                                                       \
+  int main(int, char**)
 
 inline const char* HoldsStr(const trace::GuaranteeCheckResult& r) {
   return r.holds ? "HOLDS" : "VIOLATED";

@@ -57,8 +57,14 @@ bool CompareValues(const Value& lhs, CompareOp op, const Value& rhs) {
 Status Predicate::Bind(const TableSchema& schema) {
   column_indexes_.clear();
   column_indexes_.reserve(conditions_.size());
+  pk_condition_ = -1;
+  const int pk_index = schema.primary_key_index();
   for (const Condition& c : conditions_) {
     HCM_ASSIGN_OR_RETURN(size_t idx, schema.ColumnIndex(c.column));
+    if (pk_condition_ < 0 && c.op == CompareOp::kEq &&
+        static_cast<int>(idx) == pk_index) {
+      pk_condition_ = static_cast<int>(column_indexes_.size());
+    }
     column_indexes_.push_back(idx);
   }
   return Status::OK();
@@ -74,18 +80,6 @@ bool Predicate::Matches(const Row& row) const {
     }
   }
   return true;
-}
-
-const Value* Predicate::PrimaryKeyEquality(int pk_index) const {
-  if (pk_index < 0) return nullptr;
-  for (size_t i = 0; i < conditions_.size(); ++i) {
-    if (conditions_[i].op == CompareOp::kEq &&
-        column_indexes_.size() == conditions_.size() &&
-        column_indexes_[i] == static_cast<size_t>(pk_index)) {
-      return &conditions_[i].literal;
-    }
-  }
-  return nullptr;
 }
 
 std::string Predicate::ToString() const {

@@ -37,16 +37,25 @@ class Predicate {
   const std::vector<Condition>& conditions() const { return conditions_; }
   bool empty() const { return conditions_.empty(); }
 
-  // Resolves column names against `schema` (error when unknown).
+  // Resolves column names, and the condition that pins the primary key,
+  // against `schema` (error when a column is unknown).
   Status Bind(const TableSchema& schema);
+
+  // The literal of the i-th condition, which a prepared statement rebinds
+  // on every run without binding the predicate again.
+  Value& mutable_literal(size_t i) { return conditions_[i].literal; }
 
   // Evaluates against a row. Precondition: Bind succeeded.
   bool Matches(const Row& row) const;
 
   // If the predicate pins the primary key with equality (e.g.
   // "empid = 17 and ..."), returns that literal; used for index lookups.
-  // Requires Bind; `pk_index` is the schema's primary_key_index().
-  const Value* PrimaryKeyEquality(int pk_index) const;
+  // Null before Bind.
+  const Value* PrimaryKeyEquality() const {
+    return pk_condition_ < 0 ? nullptr
+                             : &conditions_[static_cast<size_t>(pk_condition_)]
+                                    .literal;
+  }
 
   // "empid = 17 and salary > 1000"; "true" for the empty predicate.
   std::string ToString() const;
@@ -54,6 +63,7 @@ class Predicate {
  private:
   std::vector<Condition> conditions_;
   std::vector<size_t> column_indexes_;  // filled by Bind
+  int pk_condition_ = -1;               // filled by Bind
 };
 
 }  // namespace hcm::ris::relational

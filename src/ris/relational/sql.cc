@@ -7,16 +7,20 @@
 namespace hcm::ris::relational {
 namespace {
 
-enum class TokKind { kIdent, kNumber, kString, kSymbol, kEnd };
+enum class TokKind { kIdent, kNumber, kString, kSymbol, kParam, kEnd };
 
 struct Token {
   TokKind kind;
   std::string text;
+  int param = -1;  // kParam: 0..8 for $1..$9, kValueParam for $v
 };
 
 class Lexer {
  public:
-  explicit Lexer(const std::string& input) : in_(input) {}
+  // `templated` lexes a command template: '$' starts a parameter marker,
+  // and "$$" inside a quoted string is a '$'.
+  Lexer(const std::string& input, bool templated)
+      : in_(input), templated_(templated) {}
 
   Result<std::vector<Token>> Tokenize() {
     std::vector<Token> out;
@@ -24,7 +28,15 @@ class Lexer {
       SkipSpace();
       if (pos_ >= in_.size()) break;
       char c = in_[pos_];
-      if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
+      if (templated_ && c == '$' && pos_ + 1 < in_.size()) {
+        char next = in_[pos_ + 1];
+        if (next == '$') {
+          return Status::InvalidArgument("unexpected character '$' in SQL");
+        }
+        HCM_ASSIGN_OR_RETURN(int param, ParamNumber(next));
+        out.push_back({TokKind::kParam, in_.substr(pos_, 2), param});
+        pos_ += 2;
+      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
         size_t start = pos_;
         while (pos_ < in_.size() &&
                (std::isalnum(static_cast<unsigned char>(in_[pos_])) ||
@@ -60,6 +72,16 @@ class Lexer {
               ++pos_;
               break;
             }
+          } else if (templated_ && in_[pos_] == '$' &&
+                     pos_ + 1 < in_.size()) {
+            char next = in_[pos_ + 1];
+            if (next != '$') {
+              HCM_RETURN_IF_ERROR(ParamNumber(next).status());
+              return Status::InvalidArgument(StrFormat(
+                  "placeholder $%c inside a quoted SQL string", next));
+            }
+            s += '$';
+            pos_ += 2;
           } else {
             s += in_[pos_++];
           }
@@ -93,6 +115,15 @@ class Lexer {
   }
 
  private:
+  // The parameter number of "$<next>", or the error SubstituteCommand
+  // reports for a bad placeholder.
+  static Result<int> ParamNumber(char next) {
+    if (next == 'v') return kValueParam;
+    if (next >= '1' && next <= '9') return next - '1';
+    return Status::InvalidArgument(
+        StrFormat("bad placeholder $%c in command template", next));
+  }
+
   void SkipSpace() {
     while (pos_ < in_.size() &&
            std::isspace(static_cast<unsigned char>(in_[pos_]))) {
@@ -101,6 +132,7 @@ class Lexer {
   }
 
   const std::string& in_;
+  const bool templated_;
   size_t pos_ = 0;
 };
 
@@ -127,6 +159,9 @@ class Parser {
     }
     return Status::OK();
   }
+
+  // The parameter markers met so far, in textual order.
+  std::vector<ParamSlot> TakeParams() { return std::move(params_); }
 
  private:
   const Token& Peek() const { return tokens_[pos_]; }
@@ -172,8 +207,15 @@ class Parser {
     return Advance().text;
   }
 
-  Result<Value> ExpectLiteral() {
+  // A literal, or a parameter marker recorded as the `index`-th value at
+  // `site` (bound later; Null until then).
+  Result<Value> ExpectLiteral(ParamSlot::Site site, size_t index) {
     const Token& t = Peek();
+    if (t.kind == TokKind::kParam) {
+      ++pos_;
+      params_.push_back(ParamSlot{site, index, t.param});
+      return Value::Null();
+    }
     if (t.kind == TokKind::kString) {
       ++pos_;
       return Value::Str(t.text);
@@ -248,7 +290,9 @@ class Parser {
     HCM_RETURN_IF_ERROR(ExpectKeyword("values"));
     HCM_RETURN_IF_ERROR(ExpectSymbol("("));
     while (true) {
-      HCM_ASSIGN_OR_RETURN(Value v, ExpectLiteral());
+      HCM_ASSIGN_OR_RETURN(
+          Value v,
+          ExpectLiteral(ParamSlot::Site::kInsertValue, stmt.values.size()));
       stmt.values.push_back(std::move(v));
       if (AcceptSymbol(",")) continue;
       HCM_RETURN_IF_ERROR(ExpectSymbol(")"));
@@ -275,7 +319,9 @@ class Parser {
         Condition c;
         HCM_ASSIGN_OR_RETURN(c.column, ExpectIdent());
         HCM_ASSIGN_OR_RETURN(c.op, ExpectCompareOp());
-        HCM_ASSIGN_OR_RETURN(c.literal, ExpectLiteral());
+        HCM_ASSIGN_OR_RETURN(
+            c.literal,
+            ExpectLiteral(ParamSlot::Site::kWhereValue, conds.size()));
         conds.push_back(std::move(c));
         if (!AcceptKeyword("and")) break;
       }
@@ -290,7 +336,8 @@ class Parser {
     while (true) {
       HCM_ASSIGN_OR_RETURN(std::string col, ExpectIdent());
       HCM_RETURN_IF_ERROR(ExpectSymbol("="));
-      HCM_ASSIGN_OR_RETURN(Value v, ExpectLiteral());
+      HCM_ASSIGN_OR_RETURN(
+          Value v, ExpectLiteral(ParamSlot::Site::kSetValue, stmt.sets.size()));
       stmt.sets.emplace_back(std::move(col), std::move(v));
       if (!AcceptSymbol(",")) break;
     }
@@ -323,17 +370,27 @@ class Parser {
 
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  std::vector<ParamSlot> params_;
 };
 
-}  // namespace
-
-Result<Statement> ParseSql(const std::string& sql) {
-  Lexer lexer(sql);
+Result<SqlTemplate> Parse(const std::string& text, bool templated) {
+  Lexer lexer(text, templated);
   HCM_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
   Parser parser(std::move(tokens));
   HCM_ASSIGN_OR_RETURN(Statement stmt, parser.ParseStatement());
   HCM_RETURN_IF_ERROR(parser.ExpectDone());
-  return stmt;
+  return SqlTemplate{std::move(stmt), parser.TakeParams()};
+}
+
+}  // namespace
+
+Result<Statement> ParseSql(const std::string& sql) {
+  HCM_ASSIGN_OR_RETURN(SqlTemplate parsed, Parse(sql, /*templated=*/false));
+  return std::move(parsed.stmt);
+}
+
+Result<SqlTemplate> ParseSqlTemplate(const std::string& command_template) {
+  return Parse(command_template, /*templated=*/true);
 }
 
 std::string ToSqlLiteral(const Value& v) {

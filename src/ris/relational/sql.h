@@ -58,6 +58,32 @@ using Statement = std::variant<CreateTableStmt, DropTableStmt, InsertStmt,
 // Parses one statement (an optional trailing ';' is accepted).
 Result<Statement> ParseSql(const std::string& sql);
 
+// The parameter number of $v; $1..$9 are parameters 0..8.
+inline constexpr int kValueParam = 9;
+
+// A parameter marker of a command template, standing in one literal
+// position: the index-th InsertStmt value, UpdateStmt assignment or WHERE
+// condition.
+struct ParamSlot {
+  enum class Site { kInsertValue, kSetValue, kWhereValue };
+  Site site;
+  size_t index;
+  int param;  // 0..8 for $1..$9, kValueParam for $v
+};
+
+// A parsed command template: the statement, with Null at each parameter
+// slot, and the slots in textual order.
+struct SqlTemplate {
+  Statement stmt;
+  std::vector<ParamSlot> params;
+};
+
+// Parses a CM-RID command template. $1..$9 and $v are parameters and may
+// stand only where a literal may; "$$" inside a quoted string is a '$'. A
+// parameter anywhere else, including inside a quoted string, is an
+// InvalidArgument error.
+Result<SqlTemplate> ParseSqlTemplate(const std::string& command_template);
+
 // Renders a Value as a SQL literal ('…' strings). Used by CM-RID command
 // templates when substituting parameters into query text.
 std::string ToSqlLiteral(const Value& v);

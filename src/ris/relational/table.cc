@@ -40,7 +40,7 @@ Status Table::Insert(Row row) {
 
 std::vector<int64_t> Table::MatchingRowids(const Predicate& pred) const {
   std::vector<int64_t> out;
-  const Value* pk = pred.PrimaryKeyEquality(pk_index_);
+  const Value* pk = pred.PrimaryKeyEquality();
   if (pk != nullptr) {
     auto it = pk_to_rowid_.find(*pk);
     if (it != pk_to_rowid_.end() && pred.Matches(rows_.at(it->second))) {
@@ -92,7 +92,8 @@ Result<size_t> Table::Update(const Predicate& pred,
   }
   for (int64_t rowid : targets) {
     Row& row = rows_.at(rowid);
-    Row old_row = row;
+    std::optional<Row> old_row;
+    if (changes != nullptr) old_row = row;
     for (const Assignment& a : assignments) {
       if (static_cast<int>(a.column_index) == pk_index_) {
         pk_to_rowid_.erase(row[a.column_index]);
@@ -123,10 +124,14 @@ Result<size_t> Table::Delete(const Predicate& pred,
   return targets.size();
 }
 
-std::vector<Row> Table::Select(const Predicate& pred) const {
+std::vector<Row> Table::Select(const Predicate& pred,
+                               const std::vector<size_t>& columns) const {
   std::vector<Row> out;
   for (int64_t rowid : MatchingRowids(pred)) {
-    out.push_back(rows_.at(rowid));
+    const Row& row = rows_.at(rowid);
+    Row& projected = out.emplace_back();
+    projected.reserve(columns.size());
+    for (size_t idx : columns) projected.push_back(row[idx]);
   }
   return out;
 }

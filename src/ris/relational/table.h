@@ -52,8 +52,10 @@ class Table {
   Result<size_t> Delete(const Predicate& pred,
                         std::vector<RowChange>* changes);
 
-  // Returns copies of rows matching `pred`, in insertion (rowid) order.
-  std::vector<Row> Select(const Predicate& pred) const;
+  // Returns copies of rows matching `pred`, in insertion (rowid) order,
+  // projected onto `columns` (indexes into the schema).
+  std::vector<Row> Select(const Predicate& pred,
+                          const std::vector<size_t>& columns) const;
 
   // Fast path: the row with the given primary key, if any.
   const Row* FindByPrimaryKey(const Value& key) const;

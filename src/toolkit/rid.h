@@ -15,9 +15,13 @@ namespace hcm::toolkit {
 // How a CM-Translator maps one item base onto the raw source's native
 // interface. Commands are templates in the RIS's own language with
 // positional placeholders: $1..$9 for the item's arguments and $v for the
-// value being written. For a relational RIS these are SQL; for whois the
-// line protocol; for a file store a path template; for biblio a
-// "field=term" search expression.
+// value being written. For whois these are the line protocol, for a file
+// store a path template and for biblio a "field=term" search expression,
+// each rendered per request by SubstituteCommand. For a relational RIS they
+// are SQL, parsed once when the translator is configured into prepared
+// statements whose placeholders are parameters in literal positions only
+// (docs/RID_FORMAT.md); a template's parse error is returned by each
+// request that uses it.
 struct RidItemMapping {
   std::string item_base;
   std::string read_command;

@@ -1,24 +1,45 @@
 #include "src/toolkit/translators/relational_translator.h"
 
+#include <cassert>
+
 #include "src/common/string_util.h"
-#include "src/ris/relational/sql.h"
 
 namespace hcm::toolkit {
-namespace {
 
-std::string RenderSql(const Value& v) {
-  return ris::relational::ToSqlLiteral(v);
+using ris::relational::PrepareSql;
+using ris::relational::QueryResult;
+
+RelationalTranslator::RelationalTranslator(
+    RidConfig config, ris::relational::Database* db, sim::Executor* executor,
+    sim::Network* network, trace::TraceRecorder* recorder,
+    const sim::FailureInjector* failures)
+    : Translator(std::move(config), executor, network, recorder, failures),
+      db_(db) {
+  commands_.reserve(rid().items.size());
+  for (const RidItemMapping& m : rid().items) {
+    commands_.push_back(Commands{
+        PrepareSql(m.read_command), PrepareSql(m.write_command),
+        PrepareSql(m.list_command), PrepareSql(m.insert_command),
+        PrepareSql(m.delete_command)});
+  }
 }
 
-}  // namespace
+Result<QueryResult> RelationalTranslator::Run(const RidItemMapping& mapping,
+                                              Command Commands::*command,
+                                              const std::vector<Value>& args,
+                                              const Value* value) {
+  // Every caller passes an element of rid().items.
+  const size_t index = &mapping - rid().items.data();
+  assert(index < commands_.size());
+  Command& prepared = commands_[index].*command;
+  if (!prepared.ok()) return prepared.status();
+  return db_->Execute(*prepared, args, value);
+}
 
 Result<Value> RelationalTranslator::NativeRead(
     const RidItemMapping& mapping, const std::vector<Value>& args) {
-  HCM_ASSIGN_OR_RETURN(
-      std::string sql,
-      SubstituteCommand(mapping.read_command, args, nullptr, RenderSql));
-  HCM_ASSIGN_OR_RETURN(ris::relational::QueryResult result,
-                       db_->Execute(sql));
+  HCM_ASSIGN_OR_RETURN(QueryResult result,
+                       Run(mapping, &Commands::read, args, nullptr));
   if (result.rows.empty()) {
     return Status::NotFound("no row for item " + mapping.item_base);
   }
@@ -28,17 +49,14 @@ Result<Value> RelationalTranslator::NativeRead(
                   mapping.item_base.c_str(), result.rows.size(),
                   result.rows.empty() ? 0 : result.rows[0].size()));
   }
-  return result.rows[0][0];
+  return std::move(result.rows[0][0]);
 }
 
 Status RelationalTranslator::NativeWrite(const RidItemMapping& mapping,
                                          const std::vector<Value>& args,
                                          const Value& value) {
-  HCM_ASSIGN_OR_RETURN(
-      std::string sql,
-      SubstituteCommand(mapping.write_command, args, &value, RenderSql));
-  HCM_ASSIGN_OR_RETURN(ris::relational::QueryResult result,
-                       db_->Execute(sql));
+  HCM_ASSIGN_OR_RETURN(QueryResult result,
+                       Run(mapping, &Commands::write, args, &value));
   if (result.affected_rows == 0) {
     return Status::NotFound("write affected no rows for item " +
                             mapping.item_base);
@@ -52,15 +70,9 @@ Result<std::vector<std::vector<Value>>> RelationalTranslator::NativeList(
     // Non-parameterized item: the single instance with no arguments.
     return std::vector<std::vector<Value>>{{}};
   }
-  HCM_ASSIGN_OR_RETURN(
-      std::string sql,
-      SubstituteCommand(mapping.list_command, {}, nullptr, RenderSql));
-  HCM_ASSIGN_OR_RETURN(ris::relational::QueryResult result,
-                       db_->Execute(sql));
-  std::vector<std::vector<Value>> out;
-  out.reserve(result.rows.size());
-  for (auto& row : result.rows) out.push_back(std::move(row));
-  return out;
+  HCM_ASSIGN_OR_RETURN(QueryResult result,
+                       Run(mapping, &Commands::list, {}, nullptr));
+  return std::move(result.rows);
 }
 
 Status RelationalTranslator::NativeInsert(const RidItemMapping& mapping,
@@ -69,10 +81,7 @@ Status RelationalTranslator::NativeInsert(const RidItemMapping& mapping,
     return Status::Unimplemented("no insert command for " +
                                  mapping.item_base);
   }
-  HCM_ASSIGN_OR_RETURN(
-      std::string sql,
-      SubstituteCommand(mapping.insert_command, args, nullptr, RenderSql));
-  return db_->Execute(sql).status();
+  return Run(mapping, &Commands::insert, args, nullptr).status();
 }
 
 Status RelationalTranslator::NativeDelete(const RidItemMapping& mapping,
@@ -81,18 +90,14 @@ Status RelationalTranslator::NativeDelete(const RidItemMapping& mapping,
     return Status::Unimplemented("no delete command for " +
                                  mapping.item_base);
   }
-  HCM_ASSIGN_OR_RETURN(
-      std::string sql,
-      SubstituteCommand(mapping.delete_command, args, nullptr, RenderSql));
-  HCM_ASSIGN_OR_RETURN(ris::relational::QueryResult result,
-                       db_->Execute(sql));
+  HCM_ASSIGN_OR_RETURN(QueryResult result,
+                       Run(mapping, &Commands::del, args, nullptr));
   if (result.affected_rows == 0) {
     return Status::NotFound("delete affected no rows for item " +
                             mapping.item_base);
   }
   return Status::OK();
 }
-
 Status RelationalTranslator::InstallChangeHook(const RidItemMapping& mapping,
                                                ChangeHook hook) {
   // notify_hint: "trigger <table> <value-column> <key-column>...".

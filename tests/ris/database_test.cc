@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace hcm::ris::relational {
 namespace {
 
@@ -148,6 +150,84 @@ TEST_F(DatabaseTest, DropTriggerStopsFiring) {
   ASSERT_TRUE(db_.Execute("update employees set salary = 2").ok());
   EXPECT_EQ(fired, 2);
   EXPECT_EQ(db_.DropTrigger(*id).code(), StatusCode::kNotFound);
+}
+
+// A callback that creates triggers while its statement fires: the running
+// trigger stays valid, and the new ones fire from the next statement on.
+TEST_F(DatabaseTest, TriggerCreatedDuringFireFiresFromNextStatement) {
+  int outer = 0;
+  int inner = 0;
+  ASSERT_TRUE(db_.CreateTrigger("employees", TriggerKind::kUpdate, "",
+                                [&](const TriggerEvent&) {
+                                  ++outer;
+                                  for (int i = 0; i < 8; ++i) {
+                                    ASSERT_TRUE(
+                                        db_.CreateTrigger(
+                                               "employees",
+                                               TriggerKind::kUpdate, "",
+                                               [&](const TriggerEvent&) {
+                                                 ++inner;
+                                               })
+                                            .ok());
+                                  }
+                                })
+                  .ok());
+  ASSERT_TRUE(db_.Execute("update employees set salary = 1").ok());
+  EXPECT_EQ(outer, 2);
+  EXPECT_EQ(inner, 0);
+  ASSERT_TRUE(
+      db_.Execute("update employees set salary = 2 where empid = 1").ok());
+  EXPECT_EQ(outer, 3);
+  EXPECT_EQ(inner, 16);
+}
+
+// A trigger dropped by a callback of the statement firing it is skipped for
+// the rest of that statement; one that drops itself finishes its call.
+TEST_F(DatabaseTest, TriggerDroppedDuringFireIsSkipped) {
+  int64_t victim = 0;
+  int dropper_calls = 0;
+  int victim_calls = 0;
+  std::vector<std::string> seen;
+  auto self = std::make_shared<int64_t>(0);
+  std::string payload(64, 'p');  // heap-allocated: a destroyed callable shows
+  auto dropper = db_.CreateTrigger(
+      "employees", TriggerKind::kUpdate, "",
+      [&, self, payload](const TriggerEvent&) {
+        ++dropper_calls;
+        (void)db_.DropTrigger(victim);
+        (void)db_.DropTrigger(*self);
+        seen.push_back(payload);  // reads the callable's own state
+      });
+  ASSERT_TRUE(dropper.ok());
+  *self = *dropper;
+  auto victim_id = db_.CreateTrigger("employees", TriggerKind::kUpdate, "",
+                                     [&](const TriggerEvent&) {
+                                       ++victim_calls;
+                                     });
+  ASSERT_TRUE(victim_id.ok());
+  victim = *victim_id;
+  ASSERT_TRUE(db_.Execute("update employees set salary = 7").ok());
+  EXPECT_EQ(dropper_calls, 1);
+  EXPECT_EQ(victim_calls, 0);
+  ASSERT_EQ(seen.size(), 1u);
+  EXPECT_EQ(seen[0], payload);
+  EXPECT_EQ(db_.DropTrigger(victim).code(), StatusCode::kNotFound);
+}
+
+// A callback may drop the very table whose statement is firing; the rest
+// of the statement's rows are still delivered with the table's name.
+TEST_F(DatabaseTest, TableDroppedDuringFire) {
+  std::vector<std::string> tables;
+  ASSERT_TRUE(db_.CreateTrigger("employees", TriggerKind::kUpdate, "",
+                                [&](const TriggerEvent& e) {
+                                  tables.push_back(e.table);
+                                  (void)db_.Execute("drop table employees");
+                                })
+                  .ok());
+  ASSERT_TRUE(db_.Execute("update employees set salary = 3").ok());
+  EXPECT_EQ(tables,
+            (std::vector<std::string>{"employees", "employees"}));
+  EXPECT_FALSE(db_.HasTable("employees"));
 }
 
 TEST_F(DatabaseTest, TriggerOnMissingTableRejected) {

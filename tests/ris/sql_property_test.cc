@@ -1,5 +1,7 @@
 // Model-based property test: the relational engine against a trivial
 // reference model (a vector of rows), under randomized statement streams.
+// Every other step runs its statement as a prepared statement with bound
+// parameters instead of SQL text, so both reach the same model state.
 // Parameterized over seeds so each seed is an independent ctest case.
 
 #include <gtest/gtest.h>
@@ -85,8 +87,20 @@ TEST_P(SqlModelTest, RandomOpsAgreeWithModel) {
   ASSERT_TRUE(
       db.Execute("create table t (k int primary key, a int, s str)").ok());
   Model model;
+  auto prepare = [](const char* tmpl) {
+    auto stmt = PrepareSql(tmpl);
+    EXPECT_TRUE(stmt.ok()) << tmpl << ": " << stmt.status().ToString();
+    return std::move(stmt).value();
+  };
+  PreparedStatement range_update =
+      prepare("update t set a = $v where a < $1");
+  PreparedStatement keyed_update = prepare("update t set a = $v where k = $1");
+  PreparedStatement range_select =
+      prepare("select k, a, s from t where a >= $1 and a <= $2");
+  auto as_int = [](int64_t v) { return Value::Int(v); };
 
   for (int step = 0; step < 400; ++step) {
+    const bool prepared = step % 2 == 1;
     switch (rng.Index(5)) {
       case 0: {  // insert (may collide on purpose)
         int64_t k = rng.UniformInt(0, 60);
@@ -102,9 +116,13 @@ TEST_P(SqlModelTest, RandomOpsAgreeWithModel) {
       case 1: {  // range update
         int64_t threshold = rng.UniformInt(-50, 50);
         int64_t new_a = rng.UniformInt(-50, 50);
-        auto db_result = db.Execute(StrFormat(
-            "update t set a = %lld where a < %lld",
-            static_cast<long long>(new_a), static_cast<long long>(threshold)));
+        Value v = as_int(new_a);
+        auto db_result =
+            prepared ? db.Execute(range_update, {as_int(threshold)}, &v)
+                     : db.Execute(StrFormat(
+                           "update t set a = %lld where a < %lld",
+                           static_cast<long long>(new_a),
+                           static_cast<long long>(threshold)));
         ASSERT_TRUE(db_result.ok());
         EXPECT_EQ(db_result->affected_rows,
                   model.UpdateAWhereALess(threshold, new_a))
@@ -114,9 +132,13 @@ TEST_P(SqlModelTest, RandomOpsAgreeWithModel) {
       case 2: {  // keyed update (index path)
         int64_t k = rng.UniformInt(0, 60);
         int64_t new_a = rng.UniformInt(-50, 50);
-        auto db_result = db.Execute(StrFormat(
-            "update t set a = %lld where k = %lld",
-            static_cast<long long>(new_a), static_cast<long long>(k)));
+        Value v = as_int(new_a);
+        auto db_result =
+            prepared ? db.Execute(keyed_update, {as_int(k)}, &v)
+                     : db.Execute(StrFormat(
+                           "update t set a = %lld where k = %lld",
+                           static_cast<long long>(new_a),
+                           static_cast<long long>(k)));
         ASSERT_TRUE(db_result.ok());
         EXPECT_EQ(db_result->affected_rows, model.UpdateByKey(k, new_a))
             << "step " << step;
@@ -136,9 +158,12 @@ TEST_P(SqlModelTest, RandomOpsAgreeWithModel) {
       case 4: {  // range select, compare full row multisets
         int64_t lo = rng.UniformInt(-50, 0);
         int64_t hi = rng.UniformInt(0, 50);
-        auto db_result = db.Execute(StrFormat(
-            "select k, a, s from t where a >= %lld and a <= %lld",
-            static_cast<long long>(lo), static_cast<long long>(hi)));
+        auto db_result =
+            prepared ? db.Execute(range_select, {as_int(lo), as_int(hi)})
+                     : db.Execute(StrFormat(
+                           "select k, a, s from t where a >= %lld and a <= %lld",
+                           static_cast<long long>(lo),
+                           static_cast<long long>(hi)));
         ASSERT_TRUE(db_result.ok());
         auto expected = model.SelectWhereAInRange(lo, hi);
         ASSERT_EQ(db_result->rows.size(), expected.size()) << "step " << step;

@@ -34,7 +34,7 @@ class TableTest : public ::testing::Test {
 };
 
 TEST_F(TableTest, InsertAndSelectAll) {
-  std::vector<Row> all = table_.Select(Predicate());
+  std::vector<Row> all = table_.Select(Predicate(), {0, 1, 2});
   ASSERT_EQ(all.size(), 3u);
   EXPECT_EQ(all[0][1], Value::Str("ann"));
   EXPECT_EQ(all[2][2], Value::Int(300));
@@ -123,21 +123,21 @@ TEST_F(TableTest, SelectWithPkEqualityUsesIndexPath) {
   auto pred = BoundPredicate(table_.schema(),
                              {{"empid", CompareOp::kEq, Value::Int(3)},
                               {"salary", CompareOp::kGt, Value::Int(250)}});
-  std::vector<Row> rows = table_.Select(pred);
+  std::vector<Row> rows = table_.Select(pred, {0, 1, 2});
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0][1], Value::Str("cat"));
   // PK matches but residual predicate does not.
   auto pred2 = BoundPredicate(table_.schema(),
                               {{"empid", CompareOp::kEq, Value::Int(3)},
                                {"salary", CompareOp::kLt, Value::Int(100)}});
-  EXPECT_TRUE(table_.Select(pred2).empty());
+  EXPECT_TRUE(table_.Select(pred2, {0, 1, 2}).empty());
 }
 
 TEST(TableNoPkTest, WorksWithoutPrimaryKey) {
   Table t(TableSchema("log", {{"line", ColumnType::kStr, false}}));
   EXPECT_TRUE(t.Insert({Value::Str("a")}).ok());
   EXPECT_TRUE(t.Insert({Value::Str("a")}).ok());  // duplicates fine
-  EXPECT_EQ(t.Select(Predicate()).size(), 2u);
+  EXPECT_EQ(t.Select(Predicate(), {0}).size(), 2u);
   EXPECT_EQ(t.FindByPrimaryKey(Value::Str("a")), nullptr);
 }
 
