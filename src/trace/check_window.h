@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/rule/event.h"
 #include "src/trace/valid_execution.h"
 
 namespace hcm::trace::internal {
@@ -28,7 +27,7 @@ namespace hcm::trace::internal {
 // violations emitted for the same ordinal.
 struct Tagged {
   uint64_t ord = 0;
-  uint32_t seq = 0;
+  uint64_t seq = 0;
   ExecutionViolation v;
 };
 
@@ -54,10 +53,10 @@ class Sink {
     AddSeq(ord, next_seq_++, property, std::move(ids), std::move(message));
   }
 
-  // Explicit-sequence variant for emitters that discover violations out of
-  // their canonical order (the streaming obligation resolver): `seq` must
-  // reproduce the relative order a sequential scan would emit within `ord`.
-  void AddSeq(uint64_t ord, uint32_t seq, int property,
+  // Explicit-sequence variant for property 6, whose streaming resolver
+  // discovers violations out of their canonical order: `seq` must reproduce
+  // the relative order a sequential scan would emit within `ord`.
+  void AddSeq(uint64_t ord, uint64_t seq, int property,
               std::vector<int64_t> ids, std::string message) {
     ++found_;
     if (cap_ == 0) return;
@@ -95,7 +94,7 @@ class Sink {
  private:
   size_t cap_;
   size_t found_ = 0;
-  uint32_t next_seq_ = 0;
+  uint64_t next_seq_ = 0;
   std::vector<Tagged> kept_;  // heap, top = latest in merge order
 };
 
@@ -128,29 +127,6 @@ inline void MergePhaseInto(std::vector<Sink> sinks, size_t max_violations,
     ++materialized;
   }
   *extra_violations += found - materialized;
-}
-
-// `tpl` must already have its site cleared. A read request over a
-// parameterized item with unbound arguments is implemented as one
-// whole-base request (the translator fans out to every instance), recorded
-// with an argument-free item; accept it as matching the parameterized RR
-// template. Shared so the offline and streaming provenance checks accept
-// the same traces.
-inline bool TemplateMatchesIgnoringSite(const rule::EventTemplate& tpl,
-                                        const rule::Event& event,
-                                        rule::Binding* binding) {
-  if (tpl.kind == rule::EventKind::kReadRequest &&
-      event.kind == rule::EventKind::kReadRequest &&
-      tpl.item.base == event.item.base && event.item.args.empty()) {
-    return true;
-  }
-  return tpl.Matches(event, binding);
-}
-
-// Base site of an endpoint / event site ("B#tr" -> "B").
-inline std::string BaseSiteOf(const std::string& site) {
-  auto pos = site.find('#');
-  return pos == std::string::npos ? site : site.substr(0, pos);
 }
 
 }  // namespace hcm::trace::internal

@@ -5,44 +5,23 @@
 #include <limits>
 #include <optional>
 #include <set>
-#include <tuple>
 #include <unordered_map>
 #include <utility>
 
 #include "src/common/string_util.h"
-#include "src/rule/rule_index.h"
 #include "src/trace/check_window.h"
+#include "src/trace/execution_rules.h"
 
 namespace hcm::trace {
 
 namespace {
 
-using internal::BaseSiteOf;
 using internal::Sink;
-using internal::TemplateMatchesIgnoringSite;
 
 constexpr TimePoint kFarFuture =
     TimePoint::FromMillis(std::numeric_limits<int64_t>::max() / 4);
 constexpr TimePoint kFarPast =
     TimePoint::FromMillis(std::numeric_limits<int64_t>::min() / 4);
-
-bool ChangesState(rule::EventKind kind) {
-  switch (kind) {
-    case rule::EventKind::kWriteSpont:
-    case rule::EventKind::kWrite:
-    case rule::EventKind::kInsert:
-    case rule::EventKind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool IsWriteShaped(rule::EventKind k) {
-  return k == rule::EventKind::kWriteSpont || k == rule::EventKind::kWrite ||
-         k == rule::EventKind::kWriteRequest ||
-         k == rule::EventKind::kInsert || k == rule::EventKind::kDelete;
-}
 
 Duration AbsDuration(Duration d) {
   return d < Duration::Zero() ? Duration::Zero() - d : d;
@@ -70,11 +49,38 @@ struct VKeyLess {
   }
 };
 
-struct FiredKeyHash {
-  size_t operator()(const std::tuple<int64_t, int64_t, int>& k) const {
-    size_t h = std::hash<int64_t>()(std::get<0>(k));
-    h = h * 1000003 + std::hash<int64_t>()(std::get<1>(k));
-    return h * 1000003 + std::hash<int>()(std::get<2>(k));
+// One item's live segment run, retired from the front.
+struct LiveRun {
+  std::deque<Segment> segs;
+  bool has_initial = false;  // segs.front() is the declared initial value
+
+  // Returns true when a segment was added (a re-declaration overrides).
+  bool SetInitial(const Value& value) {
+    if (has_initial) {
+      segs.front().value = value;
+      return false;
+    }
+    segs.push_front(Segment{internal::kInitialSegmentStart, value});
+    has_initial = true;
+    return true;
+  }
+
+  void Apply(const rule::Event& e) {
+    const Segment* prev = segs.empty() ? nullptr : &segs.back();
+    segs.push_back(Segment{e.time, internal::OpenedValue(e, prev)});
+  }
+
+  // Drops segments superseded before `cut`, keeping the last one that
+  // starts before it (with its true start) so reads at instants >= cut
+  // stay exact. Returns the number dropped.
+  size_t RetireBefore(TimePoint cut) {
+    size_t dropped = 0;
+    while (segs.size() >= 2 && segs[1].from < cut) {
+      segs.pop_front();
+      has_initial = false;
+      ++dropped;
+    }
+    return dropped;
   }
 };
 
@@ -111,9 +117,7 @@ struct StreamingChecker::Impl {
     int64_t id;
     Value written;
   };
-  struct ItemState {
-    std::deque<Segment> segs;
-    bool has_initial = false;
+  struct ItemState : LiveRun {
     // Same-instant write chains (property 2) for the current batch. A
     // batch never splits an instant but may span several; entries from
     // prior batches are dead (their instants are fully checked) and are
@@ -125,17 +129,14 @@ struct StreamingChecker::Impl {
   std::vector<ItemState> items;
   uint64_t batch_gen = 0;
 
-  // ---- provenance (properties 4/5) ----
-  std::unordered_map<int64_t, const rule::Rule*> rules_by_id;
-  std::unordered_map<const rule::Rule*, std::vector<rule::EventTemplate>>
-      cleared_rhs;
-  rule::RuleIndex rule_index;
+  // ---- rule tables (properties 4-6) ----
+  internal::RuleTables tables;
   std::vector<size_t> candidates_scratch;
 
   // ---- obligations (property 6) ----
   struct Obligation {
     uint64_t ord;      // trace ordinal of the trigger event
-    uint32_t cand;     // candidate position in the trigger's rule scan
+    size_t cand;       // candidate position in the trigger's rule scan
     int64_t event_id;
     TimePoint event_time;
     std::string event_site;
@@ -145,25 +146,24 @@ struct StreamingChecker::Impl {
   uint64_t next_oblig = 0;
   std::map<uint64_t, Obligation> open;            // by creation seq
   std::multimap<TimePoint, uint64_t> by_deadline;  // creation-time deadline
-  std::unordered_map<std::tuple<int64_t, int64_t, int>,
-                     std::pair<TimePoint, int64_t>, FiredKeyHash>
-      fired;  // (trigger id, rule id, step) -> (fire time, fire id)
+  std::unordered_map<internal::FiredKey, internal::FiredStep,
+                     internal::FiredKeyHash>
+      fired;
   size_t fired_sweep_at = 4096;
-  // Incremental site learning for outage coverage: first-wins, write-shaped
-  // events take priority — equivalent to the offline two-pass emplace.
-  std::unordered_map<std::string, std::string> write_site_of_base;
-  std::unordered_map<std::string, std::string> any_site_of_base;
+  // Learned incrementally for outage coverage; an obligation's deadline is
+  // recomputed when it comes due, once the map has seen more of the trace.
+  internal::SiteOfBase sites;
 
   // ---- property 7 ----
   struct P7Pair {
-    TimePoint tt, et;
-    int64_t tid, eid;
-    uint64_t seq;
+    internal::ChannelPair pair;
+    uint64_t seq;  // arrival order, the channel-order tie-break
   };
   struct P7Less {
     bool operator()(const P7Pair& a, const P7Pair& b) const {
-      if (a.tt != b.tt) return a.tt < b.tt;
-      if (a.et != b.et) return a.et < b.et;
+      internal::ChannelOrderLess less;
+      if (less(a.pair, b.pair)) return true;
+      if (less(b.pair, a.pair)) return false;
       return a.seq < b.seq;
     }
   };
@@ -188,11 +188,7 @@ struct StreamingChecker::Impl {
   bool collect_all = false;
   std::set<std::string> guarantee_bases;
   ItemInterner g_interner;
-  struct GItem {
-    std::deque<Segment> segs;
-    bool has_initial = false;
-  };
-  std::vector<GItem> g_items;
+  std::vector<LiveRun> g_items;
   struct GState {
     const spec::Guarantee* g;
     bool windowed = false;
@@ -216,6 +212,7 @@ struct StreamingChecker::Impl {
         guarantees(std::move(guarantees_in)),
         options(std::move(options_in)),
         outages(options.valid.outages),
+        tables(rules),
         sink_p1(options.valid.max_violations),
         sink_p2(options.valid.max_violations),
         sink_p45(options.valid.max_violations),
@@ -226,20 +223,6 @@ struct StreamingChecker::Impl {
     retention = max_delta + Duration::Millis(1);
     stride = std::max(Duration::Seconds(1),
                       std::min(retention, Duration::Seconds(60)));
-    rules_by_id.reserve(rules.size());
-    for (const auto& r : rules) rules_by_id[r.id] = &r;
-    for (size_t pos = 0; pos < rules.size(); ++pos) {
-      rule_index.Add(rules[pos].lhs, pos);
-    }
-    for (const auto& r : rules) {
-      std::vector<rule::EventTemplate> cleared;
-      cleared.reserve(r.rhs.size());
-      for (const auto& s : r.rhs) {
-        cleared.push_back(s.event);
-        cleared.back().site.clear();
-      }
-      cleared_rhs.emplace(&r, std::move(cleared));
-    }
     SetUpGuarantees();
   }
 
@@ -334,85 +317,40 @@ struct StreamingChecker::Impl {
   void ApplyInitial(const rule::ItemId& item, const Value& value) {
     uint32_t id = interner.Intern(item);
     if (id >= items.size()) items.resize(id + 1);
-    ItemState& st = items[id];
-    if (st.has_initial) {
-      st.segs.front().value = value;  // re-declaration overrides
-    } else {
-      st.segs.push_front(Segment{TimePoint::FromMillis(-1000), value});
-      st.has_initial = true;
-      ++stats.segments_live;
-    }
+    if (items[id].SetInitial(value)) ++stats.segments_live;
     if (collect_all || guarantee_bases.count(item.base) != 0) {
       uint32_t gid = g_interner.Intern(item);
       if (gid >= g_items.size()) g_items.resize(gid + 1);
-      GItem& gi = g_items[gid];
-      if (gi.has_initial) {
-        gi.segs.front().value = value;
-      } else {
-        gi.segs.push_front(Segment{TimePoint::FromMillis(-1000), value});
-        gi.has_initial = true;
-        ++stats.guarantee_segments_live;
-      }
+      if (g_items[gid].SetInitial(value)) ++stats.guarantee_segments_live;
     }
   }
 
-  // Appends the segment an event contributes, replicating
-  // StateTimeline::Build pass-2 semantics against the live run.
-  template <typename ItemT>
-  static void ApplySegment(const rule::Event& e, ItemT* st) {
-    switch (e.kind) {
-      case rule::EventKind::kWriteSpont:
-      case rule::EventKind::kWrite:
-        st->segs.push_back(Segment{e.time, e.written_value()});
-        break;
-      case rule::EventKind::kInsert: {
-        std::optional<Value> v = Value::Null();
-        if (!st->segs.empty() && st->segs.back().value.has_value()) {
-          v = st->segs.back().value;
-        }
-        st->segs.push_back(Segment{e.time, std::move(v)});
-        break;
-      }
-      case rule::EventKind::kDelete:
-        st->segs.push_back(Segment{e.time, std::nullopt});
-        break;
-      default:
-        break;
-    }
-  }
-
-  std::optional<Value> StoreValueAt(uint32_t id, TimePoint t) const {
-    if (id == ItemInterner::kNoId || id >= items.size()) return std::nullopt;
-    const auto& segs = items[id].segs;
-    auto it = std::upper_bound(
-        segs.begin(), segs.end(), t,
-        [](TimePoint lhs, const Segment& s) { return lhs < s.from; });
-    if (it == segs.begin()) return std::nullopt;
-    return std::prev(it)->value;
-  }
-
-  std::optional<Value> StoreValueBefore(uint32_t id, TimePoint t) const {
-    if (id == ItemInterner::kNoId || id >= items.size()) return std::nullopt;
-    const auto& segs = items[id].segs;
-    auto it = std::lower_bound(
-        segs.begin(), segs.end(), t,
-        [](const Segment& s, TimePoint rhs) { return s.from < rhs; });
-    if (it == segs.begin()) return std::nullopt;
-    return std::prev(it)->value;
+  // State readers for the shared rules, over the live store (exact within
+  // one rule window of the watermark). Items never seen read as Null.
+  const std::deque<Segment>* RunOf(const rule::ItemId& item) const {
+    uint32_t id = interner.Find(item);
+    return id < items.size() ? &items[id].segs : nullptr;
   }
 
   rule::DataReader ReaderAt(TimePoint t) const {
     return [this, t](const rule::ItemId& item) -> Result<Value> {
-      auto v = StoreValueAt(interner.Find(item), t);
-      return v.has_value() ? *v : Value::Null();
+      const auto* run = RunOf(item);
+      const Segment* seg = run ? internal::SegmentAt(*run, t) : nullptr;
+      return seg && seg->value.has_value() ? *seg->value : Value::Null();
     };
   }
 
   rule::DataReader ReaderBefore(TimePoint t) const {
     return [this, t](const rule::ItemId& item) -> Result<Value> {
-      auto v = StoreValueBefore(interner.Find(item), t);
-      return v.has_value() ? *v : Value::Null();
+      const auto* run = RunOf(item);
+      const Segment* seg = run ? internal::SegmentBefore(*run, t) : nullptr;
+      return seg && seg->value.has_value() ? *seg->value : Value::Null();
     };
+  }
+
+  template <typename F>
+  void WithSegments(const rule::ItemId& item, F&& f) const {
+    if (const auto* run = RunOf(item)) f(*run);
   }
 
   const rule::Event* EventInRing(int64_t id) const {
@@ -425,7 +363,7 @@ struct StreamingChecker::Impl {
 
   // --------------------------------------------------------- live reporting
 
-  void Report(Sink* sink, uint64_t ord, std::optional<uint32_t> seq,
+  void Report(Sink* sink, uint64_t ord, std::optional<uint64_t> seq,
               int property, std::vector<int64_t> ids, std::string message) {
     ++stats.live_violations;
     if (options.on_violation) {
@@ -436,6 +374,23 @@ struct StreamingChecker::Impl {
     } else {
       sink->Add(ord, property, std::move(ids), std::move(message));
     }
+  }
+
+  // Emitters for the shared rules: properties 1-5 in call order, and
+  // property 6 with its explicit (candidate, step) sequence.
+  auto EmitAt(Sink* sink, uint64_t ord) {
+    return [this, sink, ord](int property, std::vector<int64_t> ids,
+                             std::string message) {
+      Report(sink, ord, std::nullopt, property, std::move(ids),
+             std::move(message));
+    };
+  }
+
+  auto EmitObligation(uint64_t ord) {
+    return [this, ord](uint64_t seq, std::vector<int64_t> ids,
+                       std::string message) {
+      Report(&sink_p6, ord, seq, 6, std::move(ids), std::move(message));
+    };
   }
 
   // ------------------------------------------------------- event processing
@@ -451,27 +406,22 @@ struct StreamingChecker::Impl {
       rule::Event e = std::move(pending.front());
       pending.pop_front();
       // Pass A, step 1: property 1 against the previous absorbed event.
-      if (have_prev && e.time < prev_time) {
-        Report(&sink_p1, ring_ord + ring.size(), std::nullopt, 1,
-               {prev_id, e.id}, "events out of time order");
+      if (have_prev) {
+        internal::CheckTimeOrder(prev_time, prev_id, e,
+                                 EmitAt(&sink_p1, ring_ord + ring.size()));
       }
       have_prev = true;
       prev_time = e.time;
       prev_id = e.id;
-      // Site learning (outage coverage), first-wins per map.
-      if (IsWriteShaped(e.kind)) {
-        write_site_of_base.emplace(e.item.base, BaseSiteOf(e.site));
-      }
-      if (!e.item.base.empty()) {
-        any_site_of_base.emplace(e.item.base, BaseSiteOf(e.site));
-      }
+      sites.Learn(e);
       // State change + same-instant write chain.
-      if (ChangesState(e.kind)) {
+      const bool changes_state = internal::ChangesState(e.kind);
+      if (changes_state) {
         uint32_t id = interner.Intern(e.item);
         if (id >= items.size()) items.resize(id + 1);
         e.item_iid = id;
         ItemState& st = items[id];
-        ApplySegment(e, &st);
+        st.Apply(e);
         ++stats.segments_live;
         if (e.kind == rule::EventKind::kWriteSpont ||
             e.kind == rule::EventKind::kWrite) {
@@ -486,11 +436,11 @@ struct StreamingChecker::Impl {
         e.item_iid = ItemInterner::kNoId;
       }
       // Guarantee collector.
-      if (ChangesState(e.kind) &&
+      if (changes_state &&
           (collect_all || guarantee_bases.count(e.item.base) != 0)) {
         uint32_t gid = g_interner.Intern(e.item);
         if (gid >= g_items.size()) g_items.resize(gid + 1);
-        ApplySegment(e, &g_items[gid]);
+        g_items[gid].Apply(e);
         ++stats.guarantee_segments_live;
       }
       // Fired-step index (last write wins, like the offline map build).
@@ -510,260 +460,66 @@ struct StreamingChecker::Impl {
 
   void CheckEvent(const rule::Event& e, uint64_t ord) {
     if (e.kind == rule::EventKind::kWriteSpont) CheckWsOldValue(e, ord);
-    CheckProvenance(e, ord);
+    internal::CheckProvenance(tables, e, EventInRing(e.trigger_event_id),
+                              *this, EmitAt(&sink_p45, ord));
     OpenObligations(e, ord);
     if (!e.spontaneous()) RecordP7Pair(e);
   }
 
-  // Property 2 (+3): Ws old value vs prior state / same-instant chain.
+  // Properties 2+3, with the same-instant chain read from the item's
+  // current-batch write chain.
   void CheckWsOldValue(const rule::Event& e, uint64_t ord) {
-    auto before = StoreValueBefore(e.item_iid, e.time);
-    Value expected = before.has_value() ? *before : Value::Null();
-    if (e.old_value() == expected || e.old_value().is_null()) return;
-    ++sink_p2.chain_lookups;
-    bool chained = false;
     const ItemState& st = items[e.item_iid];
-    if (st.chain_gen == batch_gen) {
+    const Segment* seg = internal::SegmentBefore(st.segs, e.time);
+    std::optional<Value> before;
+    if (seg != nullptr) before = seg->value;
+    auto chain_matches = [&] {
+      ++sink_p2.chain_lookups;
+      if (st.chain_gen != batch_gen) return false;
       for (const ChainEntry& c : st.chain) {
         if (c.time != e.time) continue;
         ++sink_p2.chain_events_scanned;
-        if (c.id >= e.id) continue;
-        if (c.written == e.old_value()) {
-          chained = true;
-          break;
-        }
+        if (c.id < e.id && c.written == e.old_value()) return true;
       }
-    }
-    if (!chained) {
-      Report(&sink_p2, ord, std::nullopt, 2, {e.id},
-             StrFormat("Ws old value %s != prior state %s",
-                       e.old_value().ToString().c_str(),
-                       expected.ToString().c_str()));
-    }
+      return false;
+    };
+    internal::CheckWsOldValue(e, before, chain_matches, EmitAt(&sink_p2, ord));
   }
 
-  // Properties 4+5: replicated from the offline ProvenanceForEvent, with
-  // trigger lookup against the live ring and state reads against the live
-  // store (both exact within one rule window of the watermark).
-  void CheckProvenance(const rule::Event& e, uint64_t ord) {
-    if (e.spontaneous()) {
-      if (e.trigger_event_id >= 0) {
-        Report(&sink_p45, ord, std::nullopt, 4, {e.id},
-               "spontaneous event carries a trigger reference");
-      }
-      return;
-    }
-    auto rule_it = rules_by_id.find(e.rule_id);
-    if (rule_it == rules_by_id.end()) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-             StrFormat("generated event names unknown rule %lld",
-                       static_cast<long long>(e.rule_id)));
-      return;
-    }
-    const rule::Rule& r = *rule_it->second;
-    const rule::Event* trig = EventInRing(e.trigger_event_id);
-    if (trig == nullptr) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-             "generated event names unknown trigger");
-      return;
-    }
-    const rule::Event& trigger = *trig;
-    rule::Binding binding;
-    if (!r.lhs.Matches(trigger, &binding)) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-             "trigger does not match the rule's LHS template");
-      return;
-    }
-    binding["now"] = Value::Int(e.time.millis());
-    if (r.lhs_condition != nullptr) {
-      auto ok = r.lhs_condition->EvalBool(binding, ReaderAt(trigger.time));
-      if (!ok.ok() || !*ok) {
-        Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-               "rule LHS condition not satisfied at trigger time");
-      }
-    }
-    if (e.rhs_step < 0 || e.rhs_step >= static_cast<int>(r.rhs.size())) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-             "generated event has no valid RHS step");
-      return;
-    }
-    const rule::RhsStep& step = r.rhs[static_cast<size_t>(e.rhs_step)];
-    rule::Binding extended = binding;
-    if (!TemplateMatchesIgnoringSite(
-            cleared_rhs.at(&r)[static_cast<size_t>(e.rhs_step)], e,
-            &extended)) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-             "generated event does not match its RHS template");
-      return;
-    }
-    if (step.condition != nullptr) {
-      auto ok = step.condition->EvalBool(extended, ReaderBefore(e.time));
-      if (!ok.ok() || !*ok) {
-        Report(&sink_p45, ord, std::nullopt, 5, {e.id},
-               "rule RHS condition not satisfied before the event");
-      }
-    }
-    if (e.time < trigger.time || trigger.time + r.delta < e.time) {
-      Report(&sink_p45, ord, std::nullopt, 5, {e.id, trigger.id},
-             StrFormat("event outside rule window (delta %s)",
-                       r.delta.ToString().c_str()));
-    }
-  }
-
-  // Property 6, creation side: the offline candidate scan, but instead of
-  // walking steps immediately (the full trace is not here yet), prohibition
-  // hits report now and real obligations open until the watermark passes
-  // their deadline. The explicit sink sequence (candidate position, step
-  // slot) reproduces the offline per-event emission order no matter when
-  // each obligation resolves.
-  static uint32_t P6Seq(uint32_t cand, int slot) {
-    return (cand << 16) | static_cast<uint32_t>(slot);
-  }
-
+  // Property 6, creation side: the shared candidate scan, but instead of
+  // walking steps immediately (the full trace is not here yet), real
+  // obligations open until the watermark passes their deadline.
   void OpenObligations(const rule::Event& e, uint64_t ord) {
-    if (!rule_index.MayMatchKind(e.kind)) {
-      sink_p6.obligation_scans_avoided += rules.size();
-      return;
-    }
-    size_t n = rule_index.LookupQuiet(e, &candidates_scratch);
-    sink_p6.obligation_scans_avoided += rules.size() - n;
-    sink_p6.obligation_candidates += n;
-    for (size_t c = 0; c < n; ++c) {
-      const rule::Rule& r = rules[candidates_scratch[c]];
-      rule::Binding binding;
-      if (!r.lhs.Matches(e, &binding)) continue;
-      if (r.lhs_condition != nullptr) {
-        auto ok = r.lhs_condition->EvalBool(binding, ReaderAt(e.time));
-        if (!ok.ok() || !*ok) continue;
-      }
-      if (r.forbids()) {
-        Report(&sink_p6, ord, P6Seq(static_cast<uint32_t>(c), 0), 6, {e.id},
-               "event matches a prohibition rule (RHS is F): " + r.ToString());
-        continue;
-      }
-      Obligation ob;
-      ob.ord = ord;
-      ob.cand = static_cast<uint32_t>(c);
-      ob.event_id = e.id;
-      ob.event_time = e.time;
-      ob.event_site = e.site;
-      ob.rule = &r;
-      ob.binding = std::move(binding);
-      TimePoint deadline = ExtendDeadline(ob, e.time + r.delta);
-      uint64_t key = next_oblig++;
-      by_deadline.emplace(deadline, key);
-      open.emplace(key, std::move(ob));
-    }
+    internal::ScanObligations(
+        tables, e, /*all_rules=*/false, &candidates_scratch, &sink_p6, *this,
+        EmitObligation(ord),
+        [&](size_t cand, const rule::Rule& r, rule::Binding&& binding) {
+          Obligation ob{ord, cand, e.id, e.time, e.site, &r,
+                        std::move(binding)};
+          TimePoint deadline = Deadline(ob);
+          uint64_t key = next_oblig++;
+          by_deadline.emplace(deadline, key);
+          open.emplace(key, std::move(ob));
+        });
   }
 
-  std::string SiteOfBase(const std::string& base) const {
-    auto it = write_site_of_base.find(base);
-    if (it != write_site_of_base.end()) return it->second;
-    it = any_site_of_base.find(base);
-    if (it != any_site_of_base.end()) return it->second;
-    return std::string();
+  TimePoint Deadline(const Obligation& ob) const {
+    return internal::ObligationDeadline(*ob.rule, ob.event_site,
+                                        ob.event_time, outages, sites);
   }
 
-  bool OutageCoversRule(const std::string& outage_site,
-                        const Obligation& ob) const {
-    const std::string down = BaseSiteOf(outage_site);
-    if (BaseSiteOf(ob.event_site) == down) return true;
-    const rule::Rule& r = *ob.rule;
-    if (!r.lhs.site.empty() && BaseSiteOf(r.lhs.site) == down) return true;
-    bool unknown = false;
-    for (const auto& step : r.rhs) {
-      std::string site = step.event.site;
-      if (site.empty()) site = SiteOfBase(step.event.item.base);
-      if (site.empty()) {
-        unknown = true;
-      } else if (BaseSiteOf(site) == down) {
-        return true;
-      }
-    }
-    return unknown;
-  }
-
-  TimePoint ExtendDeadline(const Obligation& ob, TimePoint deadline) const {
-    if (outages.empty()) return deadline;
-    bool extended = true;
-    while (extended) {
-      extended = false;
-      for (const auto& w : outages) {
-        if (!(w.from <= deadline && ob.event_time < w.to)) continue;
-        if (!OutageCoversRule(w.site, ob)) continue;
-        TimePoint candidate = w.to + ob.rule->delta;
-        if (deadline < candidate) {
-          deadline = candidate;
-          extended = true;
-        }
-      }
-    }
-    return deadline;
-  }
-
-  bool ConditionFalseSomewhere(const rule::Expr& condition,
-                               const rule::Binding& binding, TimePoint lo,
-                               TimePoint hi) {
-    std::vector<rule::ItemRef> refs;
-    condition.Collect(&refs, nullptr);
-    std::vector<TimePoint> cand = {lo, hi};
-    for (const auto& ref : refs) {
-      auto grounded = ref.Ground(binding);
-      if (!grounded.ok()) continue;
-      uint32_t id = interner.Find(*grounded);
-      if (id == ItemInterner::kNoId || id >= items.size()) continue;
-      const auto& segs = items[id].segs;
-      auto b = std::upper_bound(
-          segs.begin(), segs.end(), lo,
-          [](TimePoint t, const Segment& s) { return t < s.from; });
-      for (auto it = b; it != segs.end() && it->from <= hi; ++it) {
-        cand.push_back(it->from);
-      }
-    }
-    sink_p6.condition_instants += cand.size();
-    for (TimePoint t : cand) {
-      auto ok = condition.EvalBool(binding, ReaderBefore(t));
-      if (ok.ok() && !*ok) return true;
-      auto ok2 = condition.EvalBool(binding, ReaderAt(t));
-      if (ok2.ok() && !*ok2) return true;
-    }
-    return false;
-  }
-
-  // Property 6, resolution side: identical step walk to the offline
-  // checker, run once the watermark proves all in-window fires arrived.
+  // Property 6, resolution side, once the watermark proves all in-window
+  // fires arrived.
   void ResolveObligation(const Obligation& ob, TimePoint deadline) {
-    ++sink_p6.obligations_checked;
     const rule::Rule& r = *ob.rule;
-    TimePoint prev = ob.event_time;
-    for (int step = 0; step < static_cast<int>(r.rhs.size()); ++step) {
+    auto fired_step = [&](int step) -> std::optional<internal::FiredStep> {
       auto it = fired.find({ob.event_id, r.id, step});
-      if (it != fired.end()) {
-        const auto& [gt, gid] = it->second;
-        if (gt < prev) {
-          Report(&sink_p6, ob.ord, P6Seq(ob.cand, step + 1), 6,
-                 {ob.event_id, gid}, "RHS steps fired out of sequence");
-        }
-        prev = gt;
-        continue;
-      }
-      const rule::RhsStep& rhs = r.rhs[static_cast<size_t>(step)];
-      if (rhs.condition == nullptr) {
-        Report(&sink_p6, ob.ord, P6Seq(ob.cand, step + 1), 6, {ob.event_id},
-               StrFormat("unconditional RHS step %d of rule '%s' never "
-                         "fired within %s",
-                         step, r.ToString().c_str(),
-                         r.delta.ToString().c_str()));
-        continue;
-      }
-      if (!ConditionFalseSomewhere(*rhs.condition, ob.binding, prev,
-                                   deadline)) {
-        Report(&sink_p6, ob.ord, P6Seq(ob.cand, step + 1), 6, {ob.event_id},
-               StrFormat("RHS step %d of rule '%s' did not fire although "
-                         "its condition held throughout the window",
-                         step, r.ToString().c_str()));
-      }
-    }
+      if (it == fired.end()) return std::nullopt;
+      return it->second;
+    };
+    internal::CheckObligation(r, ob.cand, ob.event_id, ob.event_time,
+                              ob.binding, deadline, fired_step, *this,
+                              &sink_p6, EmitObligation(ob.ord));
     ++stats.obligations_resolved;
   }
 
@@ -779,8 +535,7 @@ struct StreamingChecker::Impl {
       auto oit = open.find(key);
       if (oit == open.end()) continue;
       Obligation& ob = oit->second;
-      TimePoint deadline =
-          ExtendDeadline(ob, ob.event_time + ob.rule->delta);
+      TimePoint deadline = Deadline(ob);
       if (deadline >= w) {
         by_deadline.emplace(deadline, key);
         continue;
@@ -796,25 +551,25 @@ struct StreamingChecker::Impl {
     const rule::Event* trig = EventInRing(e.trigger_event_id);
     if (trig == nullptr) return;
     P7Channel& ch = channels[{trig->site, e.site}];
-    ch.pairs.insert(P7Pair{trig->time, e.time, trig->id, e.id, ch.next_seq++});
+    ch.pairs.insert(P7Pair{
+        internal::ChannelPair{trig->time, e.time, trig->id, e.id},
+        ch.next_seq++});
     ++stats.pairs_live;
   }
 
   void CheckP7Adjacent(const std::pair<std::string, std::string>& key,
                        P7Channel* ch, const P7Pair& prev, const P7Pair& cur) {
-    if (prev.tt < cur.tt && cur.et < prev.et) {
-      ExecutionViolation v{
-          7,
-          {prev.eid, cur.eid},
-          StrFormat("out-of-order processing on channel %s -> %s",
-                    key.first.c_str(), key.second.c_str())};
-      ++ch->found;
-      ++stats.live_violations;
-      if (options.on_violation) options.on_violation(v);
-      if (ch->kept.size() < options.valid.max_violations) {
-        ch->kept.push_back(std::move(v));
-      }
-    }
+    internal::CheckChannelAdjacent(
+        key, prev.pair, cur.pair,
+        [&](int property, std::vector<int64_t> ids, std::string message) {
+          ExecutionViolation v{property, std::move(ids), std::move(message)};
+          ++ch->found;
+          ++stats.live_violations;
+          if (options.on_violation) options.on_violation(v);
+          if (ch->kept.size() < options.valid.max_violations) {
+            ch->kept.push_back(std::move(v));
+          }
+        });
   }
 
   // Drops each channel's sorted prefix once no future pair (whose trigger
@@ -826,7 +581,7 @@ struct StreamingChecker::Impl {
       while (ch.pairs.size() >= 2) {
         auto first = ch.pairs.begin();
         auto second = std::next(first);
-        if (!(second->tt < bound)) break;
+        if (!(second->pair.trigger_time < bound)) break;
         CheckP7Adjacent(key, &ch, *first, *second);
         ch.pairs.erase(first);
         --stats.pairs_live;
@@ -851,19 +606,15 @@ struct StreamingChecker::Impl {
     // Item segments: keep the last segment starting before the cut (with
     // its true start) so reads at instants >= cut stay exact.
     for (ItemState& st : items) {
-      auto& segs = st.segs;
-      while (segs.size() >= 2 && segs[1].from < cut) {
-        segs.pop_front();
-        st.has_initial = false;
-        --stats.segments_live;
-        ++stats.segments_retired;
-      }
+      size_t dropped = st.RetireBefore(cut);
+      stats.segments_live -= dropped;
+      stats.segments_retired += dropped;
     }
     // Fired-step index: any still-relevant fire belongs to an open
     // obligation, and fires at or after their trigger's time >= floor.
     if (fired.size() > fired_sweep_at) {
       for (auto it = fired.begin(); it != fired.end();) {
-        if (it->second.first < cut) {
+        if (it->second.time < cut) {
           it = fired.erase(it);
         } else {
           ++it;
@@ -881,14 +632,10 @@ struct StreamingChecker::Impl {
       cut = std::min(cut, gs.region_lo - gs.lag);
     }
     if (gstates.empty() || cut <= kFarPast) return;
-    for (GItem& gi : g_items) {
-      auto& segs = gi.segs;
-      while (segs.size() >= 2 && segs[1].from < cut) {
-        segs.pop_front();
-        gi.has_initial = false;
-        --stats.guarantee_segments_live;
-        ++stats.guarantee_segments_retired;
-      }
+    for (LiveRun& gi : g_items) {
+      size_t dropped = gi.RetireBefore(cut);
+      stats.guarantee_segments_live -= dropped;
+      stats.guarantee_segments_retired += dropped;
     }
   }
 
@@ -951,7 +698,7 @@ struct StreamingChecker::Impl {
     // no probe, sample point or settle filter of an anchor below B can be
     // affected by future events.
     TimePoint min_last_change = kFarFuture;
-    for (const GItem& gi : g_items) {
+    for (const LiveRun& gi : g_items) {
       if (!gi.segs.empty()) {
         min_last_change = std::min(min_last_change, gi.segs.back().from);
       }
@@ -967,7 +714,7 @@ struct StreamingChecker::Impl {
       if (cap <= TimePoint::Origin() + gs.lag) continue;
       TimePoint b = cap - gs.lag;
       TimePoint effective_lo =
-          std::max(gs.region_lo, TimePoint::FromMillis(-1000));
+          std::max(gs.region_lo, internal::kInitialSegmentStart);
       Duration chunk = std::max(gs.lag * 2, Duration::Seconds(10));
       if (b <= effective_lo || b - effective_lo < chunk) continue;
       evals.push_back({&gs, b});
@@ -1028,7 +775,7 @@ struct StreamingChecker::Impl {
       auto oit = open.find(key);
       if (oit == open.end()) continue;
       Obligation& ob = oit->second;
-      TimePoint deadline = ExtendDeadline(ob, ob.event_time + ob.rule->delta);
+      TimePoint deadline = Deadline(ob);
       if (!(options.valid.skip_obligations_past_horizon &&
             horizon < deadline)) {
         ResolveObligation(ob, deadline);
@@ -1048,17 +795,11 @@ struct StreamingChecker::Impl {
     }
     // Assemble the report through the shared merge, in offline phase order.
     report.events_checked = seen;
-    internal::MergePhaseInto({std::move(sink_p1)}, options.valid.max_violations,
-                             &report, &extra_violations);
-    internal::MergePhaseInto({std::move(sink_p2)}, options.valid.max_violations,
-                             &report, &extra_violations);
-    internal::MergePhaseInto({std::move(sink_p45)},
-                             options.valid.max_violations, &report,
-                             &extra_violations);
-    internal::MergePhaseInto({std::move(sink_p6)}, options.valid.max_violations,
-                             &report, &extra_violations);
-    internal::MergePhaseInto({std::move(sink_p7)}, options.valid.max_violations,
-                             &report, &extra_violations);
+    for (Sink* phase : {&sink_p1, &sink_p2, &sink_p45, &sink_p6, &sink_p7}) {
+      internal::MergePhaseInto({std::move(*phase)},
+                               options.valid.max_violations, &report,
+                               &extra_violations);
+    }
     report.valid = report.violations.empty() && extra_violations == 0;
     report.stats.items_indexed = interner.size();
     FinishGuarantees();

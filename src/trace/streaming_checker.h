@@ -11,7 +11,9 @@
 // prefix per flush), watermarks tell it which instants are complete, and
 // OnFinish triggers the same phase-ordered report assembly the offline
 // checker performs — through the shared bounded-sink/ordered-merge core in
-// check_window.h, so capping semantics agree exactly.
+// check_window.h, so capping semantics agree exactly. Both checkers decide
+// each property through the one set of rules in execution_rules.h; this
+// class only decides when each check can run on the live state.
 //
 // State retirement:
 //   - events: the live ring keeps events within one maximal rule window of
@@ -22,8 +24,8 @@
 //     condition windows can still probe; the last segment before the cut
 //     is kept (with its true start) so historical reads stay exact;
 //   - obligations: resolved the moment the watermark passes their
-//     (outage-extended) deadline, through the same step walk the offline
-//     checker runs — all in-window fires have arrived by then;
+//     (outage-extended) deadline — all in-window fires have arrived by
+//     then;
 //   - property-7 pairs: a channel's sorted prefix is checked and dropped
 //     once no future pair (trigger time >= watermark - delta_max) can sort
 //     into it;

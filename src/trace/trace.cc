@@ -5,8 +5,11 @@
 
 #include "src/common/logging.h"
 #include "src/common/string_util.h"
+#include "src/trace/execution_rules.h"
 
 namespace hcm::trace {
+
+using internal::ChangesState;
 
 std::string Trace::ToString(size_t max_events) const {
   std::string out = StrFormat("trace: %zu events, horizon %s\n",
@@ -94,19 +97,6 @@ Trace TraceRecorder::Finish(TimePoint horizon) {
   return out;
 }
 
-// True for event kinds that change item state (and thus open a segment).
-static bool ChangesState(rule::EventKind kind) {
-  switch (kind) {
-    case rule::EventKind::kWriteSpont:
-    case rule::EventKind::kWrite:
-    case rule::EventKind::kInsert:
-    case rule::EventKind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
-
 void InternTraceItems(Trace* trace) {
   trace->interner = ItemInterner();
   // Exactly StateTimeline::Build's pass-1 intern order, so a timeline that
@@ -163,39 +153,17 @@ StateTimeline StateTimeline::Build(const Trace& trace,
     tl.segments_[start + filled] = Segment{from, std::move(value)};
     ++filled;
   };
-  // Initial values are modeled as holding for a full second before the
-  // origin, so that "X previously had this value" obligations — including
-  // ones needing two ordered instants — are satisfiable for state that was
-  // already in place when observation began.
   for (const auto& [item, value] : trace.initial_values) {
-    emit(tl.interner_.Find(item), TimePoint::FromMillis(-1000), value);
+    emit(tl.interner_.Find(item), internal::kInitialSegmentStart, value);
   }
   for (size_t i = 0; i < trace.events.size(); ++i) {
-    const rule::Event& e = trace.events[i];
     uint32_t id = tl.event_state_ids_[i];
     if (id == ItemInterner::kNoId) continue;
-    switch (e.kind) {
-      case rule::EventKind::kWriteSpont:
-      case rule::EventKind::kWrite:
-        emit(id, e.time, e.written_value());
-        break;
-      case rule::EventKind::kInsert: {
-        // Insert establishes existence; value starts null unless the item
-        // already has one (re-insert is a no-op on the value).
-        const auto& [start, filled] = tl.spans_[id];
-        std::optional<Value> v = Value::Null();
-        if (filled > 0 && tl.segments_[start + filled - 1].value.has_value()) {
-          v = tl.segments_[start + filled - 1].value;
-        }
-        emit(id, e.time, std::move(v));
-        break;
-      }
-      case rule::EventKind::kDelete:
-        emit(id, e.time, std::nullopt);
-        break;
-      default:
-        break;  // unreachable: ChangesState filtered
-    }
+    const auto& [start, filled] = tl.spans_[id];
+    const Segment* prev =
+        filled > 0 ? &tl.segments_[start + filled - 1] : nullptr;
+    const rule::Event& e = trace.events[i];
+    emit(id, e.time, internal::OpenedValue(e, prev));
   }
   return tl;
 }
@@ -229,24 +197,12 @@ SegmentSpan StateTimeline::SegmentsOf(const rule::ItemId& item) const {
 }
 
 const Segment* StateTimeline::FindSegmentAt(uint32_t id, TimePoint t) const {
-  SegmentSpan segs = SegmentsOf(id);
-  // Last segment with from <= t.
-  auto it = std::upper_bound(
-      segs.begin(), segs.end(), t,
-      [](TimePoint lhs, const Segment& s) { return lhs < s.from; });
-  if (it == segs.begin()) return nullptr;  // before first knowledge
-  return std::prev(it);
+  return internal::SegmentAt(SegmentsOf(id), t);
 }
 
 const Segment* StateTimeline::FindSegmentBefore(uint32_t id,
                                                 TimePoint t) const {
-  SegmentSpan segs = SegmentsOf(id);
-  // Last segment with from < t (strict).
-  auto it = std::lower_bound(
-      segs.begin(), segs.end(), t,
-      [](const Segment& s, TimePoint rhs) { return s.from < rhs; });
-  if (it == segs.begin()) return nullptr;
-  return std::prev(it);
+  return internal::SegmentBefore(SegmentsOf(id), t);
 }
 
 std::optional<Value> StateTimeline::ValueAt(uint32_t id, TimePoint t) const {

@@ -1,6 +1,7 @@
 #include "src/trace/trace_io.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "src/common/string_util.h"
@@ -161,6 +162,11 @@ Result<Trace> ParseTrace(const std::string& text) {
       HCM_ASSIGN_OR_RETURN(event.trigger_event_id, ExpectInt(cursor));
       if (!cursor.AcceptIdent("step")) return fail("expected 'step'");
       HCM_ASSIGN_OR_RETURN(int64_t step, ExpectInt(cursor));
+      if (step < std::numeric_limits<int>::min() ||
+          step > std::numeric_limits<int>::max()) {
+        return fail(StrFormat("step %lld out of range",
+                              static_cast<long long>(step)));
+      }
       event.rhs_step = static_cast<int>(step);
     }
     if (!cursor.AtEnd()) return fail("trailing tokens");

@@ -114,6 +114,31 @@ TEST(TraceIoTest, ParseErrors) {
   EXPECT_FALSE(ParseTrace("hcm-trace v1 horizon=1s\n"
                           "event 0 @ 10ms site \"A\" Ws(X, 1, 2) extra\n")
                    .ok());
+  // A step outside int range is rejected, not truncated (2^32 would
+  // otherwise load as step 0).
+  auto wide_step =
+      ParseTrace("hcm-trace v1 horizon=1s\n"
+                 "event 0 @ 10ms site \"A\" N(X, 1)\n"
+                 "event 1 @ 20ms site \"B\" WR(Y, 1) rule 1 trigger 0 "
+                 "step 4294967296\n");
+  ASSERT_FALSE(wide_step.ok());
+  EXPECT_EQ(wide_step.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(wide_step.status().message().find("trace line 3"),
+            std::string::npos)
+      << wide_step.status().ToString();
+  EXPECT_FALSE(ParseTrace("hcm-trace v1 horizon=1s\n"
+                          "event 0 @ 10ms site \"A\" N(X, 1)\n"
+                          "event 1 @ 20ms site \"B\" WR(Y, 1) rule 1 "
+                          "trigger 0 step -2147483649\n")
+                   .ok());
+  // The int extremes themselves still load.
+  auto max_step =
+      ParseTrace("hcm-trace v1 horizon=1s\n"
+                 "event 0 @ 10ms site \"A\" N(X, 1)\n"
+                 "event 1 @ 20ms site \"B\" WR(Y, 1) rule 1 trigger 0 "
+                 "step 2147483647\n");
+  ASSERT_TRUE(max_step.ok()) << max_step.status().ToString();
+  EXPECT_EQ(max_step->events[1].rhs_step, 2147483647);
 }
 
 TEST(TraceIoTest, CommentsAndBlankLinesIgnored) {

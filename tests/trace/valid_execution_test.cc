@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/rule/parser.h"
+#include "src/trace/streaming_checker.h"
 
 namespace hcm::trace {
 namespace {
@@ -10,6 +15,35 @@ namespace {
 using rule::Event;
 using rule::EventKind;
 using rule::ItemId;
+
+// Both checkers decide each property through the same shared rules, so
+// comparing them with each other no longer tests a rule. Instead every case
+// below runs through both drivers — CheckValidExecution, and a
+// StreamingChecker fed the same trace with a watermark at each new instant
+// — and asserts its expected verdict and messages on each report.
+std::vector<std::pair<std::string, ExecutionReport>> CheckBoth(
+    const Trace& t, const std::vector<rule::Rule>& rules,
+    const ValidExecutionOptions& opts = {}) {
+  StreamingCheckOptions stream_opts;
+  stream_opts.valid = opts;
+  StreamingChecker streaming(rules, {}, stream_opts);
+  for (const auto& [item, value] : t.initial_values) {
+    streaming.OnInitialValue(item, value);
+  }
+  for (size_t i = 0; i < t.events.size(); ++i) {
+    if (i == 0 || t.events[i - 1].time < t.events[i].time) {
+      streaming.OnWatermark(t.events[i].time);
+    }
+    streaming.OnEvent(t.events[i]);
+  }
+  streaming.OnFinish(t.horizon);
+  return {{"offline", CheckValidExecution(t, rules, opts)},
+          {"streaming", streaming.execution_report()}};
+}
+
+bool StartsWith(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
 
 // Fixture around the propagation rule N(X, b) -> 5s WR(Y, b).
 class ValidExecutionTest : public ::testing::Test {
@@ -54,9 +88,11 @@ TEST_F(ValidExecutionTest, CleanRunIsValid) {
   int64_t n2 = rec_.Record(Notify(2000, 9));
   rec_.Record(WriteRequest(3000, 9, n2));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  EXPECT_TRUE(report.valid) << report.ToString();
-  EXPECT_EQ(report.obligations_checked, 2u);
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+    EXPECT_EQ(report.obligations_checked, 2u);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property1OutOfOrderEvents) {
@@ -64,9 +100,14 @@ TEST_F(ValidExecutionTest, Property1OutOfOrderEvents) {
   rec_.Record(Notify(2000, 1));
   rec_.Record(Notify(100, 2));  // goes back in time
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 1);
+  for (const auto& [driver, report] : CheckBoth(t, {})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+    EXPECT_EQ(report.violations[0].property, 1);
+    EXPECT_EQ(report.violations[0].message, "events out of time order");
+    EXPECT_EQ(report.violations[0].event_ids, (std::vector<int64_t>{0, 1}));
+  }
 }
 
 TEST_F(ValidExecutionTest, Property2InconsistentOldValue) {
@@ -83,9 +124,17 @@ TEST_F(ValidExecutionTest, Property2InconsistentOldValue) {
   w2.values = {Value::Int(99), Value::Int(7)};
   rec_.Record(w2);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {});
-  ASSERT_FALSE(report.valid) << report.ToString();
-  EXPECT_EQ(report.violations[0].property, 2);
+  for (const auto& [driver, report] : CheckBoth(t, {})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid) << report.ToString();
+    // The first write claims an old value for an item with no prior state.
+    ASSERT_EQ(report.violations.size(), 2u) << report.ToString();
+    EXPECT_EQ(report.violations[0].property, 2);
+    EXPECT_EQ(report.violations[0].message,
+              "Ws old value 5 != prior state null");
+    EXPECT_EQ(report.violations[1].property, 2);
+    EXPECT_EQ(report.violations[1].message, "Ws old value 99 != prior state 6");
+  }
 }
 
 TEST_F(ValidExecutionTest, Property4SpontaneousWithTrigger) {
@@ -93,9 +142,13 @@ TEST_F(ValidExecutionTest, Property4SpontaneousWithTrigger) {
   n.trigger_event_id = 55;  // spontaneous events must not carry triggers
   rec_.Record(n);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 4);
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 4);
+    EXPECT_EQ(report.violations[0].message,
+              "spontaneous event carries a trigger reference");
+  }
 }
 
 TEST_F(ValidExecutionTest, Property5UnknownRule) {
@@ -104,55 +157,82 @@ TEST_F(ValidExecutionTest, Property5UnknownRule) {
   g.rule_id = 42;  // no such rule
   rec_.Record(g);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  bool found5 = false;
-  for (const auto& v : report.violations) {
-    if (v.property == 5) found5 = true;
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    bool found5 = false;
+    for (const auto& v : report.violations) {
+      if (v.property == 5) {
+        found5 = true;
+        EXPECT_EQ(v.message, "generated event names unknown rule 42");
+      }
+    }
+    EXPECT_TRUE(found5) << report.ToString();
   }
-  EXPECT_TRUE(found5) << report.ToString();
 }
 
 TEST_F(ValidExecutionTest, Property5ValueMismatch) {
   int64_t n1 = rec_.Record(Notify(100, 7));
   rec_.Record(WriteRequest(1000, 999, n1));  // forwarded the wrong value
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  bool found5 = false;
-  for (const auto& v : report.violations) {
-    if (v.property == 5) found5 = true;
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    bool found5 = false;
+    for (const auto& v : report.violations) {
+      if (v.property == 5) {
+        found5 = true;
+        EXPECT_EQ(v.message, "generated event does not match its RHS template");
+      }
+    }
+    EXPECT_TRUE(found5) << report.ToString();
   }
-  EXPECT_TRUE(found5) << report.ToString();
 }
 
 TEST_F(ValidExecutionTest, Property5DeadlineMiss) {
   int64_t n1 = rec_.Record(Notify(100, 7));
   rec_.Record(WriteRequest(100 + 5001, 7, n1));  // 1ms past the 5s delta
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 5);
+    EXPECT_EQ(report.violations[0].message,
+              "event outside rule window (delta 5s)");
+    // A fire past its deadline is outside the streaming equivalence
+    // envelope (streaming_checker.h): the streaming driver resolves the
+    // obligation before the fire arrives, so it also reports property 6.
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6MissedObligation) {
   rec_.Record(Notify(100, 7));  // never acted upon
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 6);
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 6);
+    EXPECT_TRUE(StartsWith(report.violations[0].message,
+                           "unconditional RHS step 0 of rule "))
+        << report.violations[0].message;
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6ObligationNotYetDueIsSkipped) {
   rec_.Record(Notify(100, 7));
   // Horizon before the 5s deadline: the run simply ended first.
   Trace t = rec_.Finish(TimePoint::FromMillis(2000));
-  auto report = CheckValidExecution(t, {rule_});
-  EXPECT_TRUE(report.valid) << report.ToString();
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+  }
   // With the option disabled, it is a violation.
   ValidExecutionOptions opts;
   opts.skip_obligations_past_horizon = false;
-  auto strict = CheckValidExecution(t, {rule_}, opts);
-  EXPECT_FALSE(strict.valid);
+  for (const auto& [driver, strict] : CheckBoth(t, {rule_}, opts)) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(strict.valid);
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6ProhibitionViolated) {
@@ -167,11 +247,14 @@ TEST_F(ValidExecutionTest, Property6ProhibitionViolated) {
   w.values = {Value::Null(), Value::Int(1)};
   rec_.Record(w);
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {*forbid});
-  ASSERT_FALSE(report.valid);
-  EXPECT_EQ(report.violations[0].property, 6);
-  EXPECT_NE(report.violations[0].message.find("prohibition"),
-            std::string::npos);
+  for (const auto& [driver, report] : CheckBoth(t, {*forbid})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    EXPECT_EQ(report.violations[0].property, 6);
+    EXPECT_EQ(report.violations[0].message,
+              "event matches a prohibition rule (RHS is F): " +
+                  forbid->ToString());
+  }
 }
 
 TEST_F(ValidExecutionTest, Property6ConditionalStepMaySkip) {
@@ -184,16 +267,25 @@ TEST_F(ValidExecutionTest, Property6ConditionalStepMaySkip) {
   rec_.SetInitialValue(ItemId{"CachedX", {}}, Value::Int(7));
   rec_.Record(Notify(100, 7));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {*r});
-  EXPECT_TRUE(report.valid) << report.ToString();
+  for (const auto& [driver, report] : CheckBoth(t, {*r})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+  }
   // A notification with a different value must fire. Finish moved the
   // trace out of rec_, so rebuild the scenario on a fresh recorder.
   TraceRecorder rec2;
   rec2.SetInitialValue(ItemId{"CachedX", {}}, Value::Int(7));
   rec2.Record(Notify(10000, 8));
   Trace t2 = rec2.Finish(TimePoint::FromMillis(60000));
-  auto report2 = CheckValidExecution(t2, {*r});
-  EXPECT_FALSE(report2.valid);
+  for (const auto& [driver, report2] : CheckBoth(t2, {*r})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report2.valid);
+    ASSERT_EQ(report2.violations.size(), 1u) << report2.ToString();
+    EXPECT_EQ(report2.violations[0].message,
+              "RHS step 0 of rule '" + r->ToString() +
+                  "' did not fire although its condition held throughout "
+                  "the window");
+  }
 }
 
 TEST_F(ValidExecutionTest, Property7OutOfOrderProcessing) {
@@ -203,22 +295,29 @@ TEST_F(ValidExecutionTest, Property7OutOfOrderProcessing) {
   rec_.Record(WriteRequest(1000, 2, n2));
   rec_.Record(WriteRequest(2000, 1, n1));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  ASSERT_FALSE(report.valid);
-  bool found7 = false;
-  for (const auto& v : report.violations) {
-    if (v.property == 7) found7 = true;
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    bool found7 = false;
+    for (const auto& v : report.violations) {
+      if (v.property == 7) {
+        found7 = true;
+        EXPECT_EQ(v.message, "out-of-order processing on channel A -> B");
+      }
+    }
+    EXPECT_TRUE(found7) << report.ToString();
   }
-  EXPECT_TRUE(found7) << report.ToString();
 }
 
 TEST_F(ValidExecutionTest, ReportToStringMentionsProperties) {
   rec_.Record(Notify(100, 7));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_});
-  std::string s = report.ToString();
-  EXPECT_NE(s.find("INVALID"), std::string::npos);
-  EXPECT_NE(s.find("property 6"), std::string::npos);
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    std::string s = report.ToString();
+    EXPECT_NE(s.find("INVALID"), std::string::npos);
+    EXPECT_NE(s.find("property 6"), std::string::npos);
+  }
 }
 
 TEST_F(ValidExecutionTest, ViolationCapRespected) {
@@ -228,9 +327,108 @@ TEST_F(ValidExecutionTest, ViolationCapRespected) {
     rec_.Record(Notify(100 + i, 7));  // ten missed obligations
   }
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
-  auto report = CheckValidExecution(t, {rule_}, opts);
-  EXPECT_FALSE(report.valid);
-  EXPECT_EQ(report.violations.size(), 2u);
+  for (const auto& [driver, report] : CheckBoth(t, {rule_}, opts)) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(report.valid);
+    EXPECT_EQ(report.violations.size(), 2u);
+  }
+}
+
+TEST_F(ValidExecutionTest, Property5RhsConditionFalseBeforeEvent) {
+  // The step forwards only when the cache differs, but it fired although
+  // CachedX already held the notified value.
+  auto r = rule::ParseRule("N(X, b) -> 5s CachedX != b ? WR(Y, b)");
+  ASSERT_TRUE(r.ok());
+  r->id = 1;
+  rec_.SetInitialValue(ItemId{"CachedX", {}}, Value::Int(7));
+  int64_t n1 = rec_.Record(Notify(100, 7));
+  rec_.Record(WriteRequest(1100, 7, n1));
+  Trace t = rec_.Finish(TimePoint::FromMillis(60000));
+  for (const auto& [driver, report] : CheckBoth(t, {*r})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+    EXPECT_EQ(report.violations[0].property, 5);
+    EXPECT_EQ(report.violations[0].message,
+              "rule RHS condition not satisfied before the event");
+    EXPECT_EQ(report.violations[0].event_ids, (std::vector<int64_t>{1}));
+  }
+  // The condition is read on the old interpretation: a step whose own
+  // write makes it false is valid.
+  auto own = rule::ParseRule("N(X, b) -> 5s Y != b ? W(Y, b)");
+  ASSERT_TRUE(own.ok());
+  own->id = 1;
+  TraceRecorder rec2;
+  rec2.SetInitialValue(ItemId{"Y", {}}, Value::Int(0));
+  int64_t n2 = rec2.Record(Notify(100, 7));
+  Event w = WriteRequest(1100, 7, n2);
+  w.kind = EventKind::kWrite;
+  rec2.Record(w);
+  Trace t2 = rec2.Finish(TimePoint::FromMillis(60000));
+  for (const auto& [driver, report] : CheckBoth(t2, {*own})) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+  }
+}
+
+TEST_F(ValidExecutionTest, Property6StepsFiredOutOfSequence) {
+  // Step 1 lands before step 0, both within the window.
+  auto r = rule::ParseRule("N(X, b) -> 5s WR(Y, b), WR(Z, b)");
+  ASSERT_TRUE(r.ok());
+  r->id = 1;
+  int64_t n1 = rec_.Record(Notify(100, 7));
+  Event step1 = WriteRequest(1500, 7, n1);
+  step1.item = ItemId{"Z", {}};
+  step1.rhs_step = 1;
+  int64_t s1 = rec_.Record(step1);
+  rec_.Record(WriteRequest(2000, 7, n1));
+  Trace t = rec_.Finish(TimePoint::FromMillis(60000));
+  for (const auto& [driver, report] : CheckBoth(t, {*r})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+    EXPECT_EQ(report.violations[0].property, 6);
+    EXPECT_EQ(report.violations[0].message, "RHS steps fired out of sequence");
+    EXPECT_EQ(report.violations[0].event_ids,
+              (std::vector<int64_t>{n1, s1}));
+  }
+}
+
+TEST_F(ValidExecutionTest, Property6OutageExtendsDeadline) {
+  // The guarded step never fires. Its condition holds until CachedX takes
+  // the notified value at 8s, after the plain 5s window but inside the
+  // window an outage of the trigger's site grants (restart 6s + 5s).
+  auto r = rule::ParseRule("N(X, b) -> 5s CachedX != b ? WR(Y, b)");
+  ASSERT_TRUE(r.ok());
+  r->id = 1;
+  rec_.SetInitialValue(ItemId{"CachedX", {}}, Value::Int(0));
+  rec_.Record(Notify(100, 7));
+  Event cache;
+  cache.time = TimePoint::FromMillis(8000);
+  cache.site = "A";
+  cache.kind = EventKind::kWriteSpont;
+  cache.item = ItemId{"CachedX", {}};
+  cache.values = {Value::Int(0), Value::Int(7)};
+  rec_.Record(cache);
+  Trace t = rec_.Finish(TimePoint::FromMillis(60000));
+  ValidExecutionOptions with_outage;
+  with_outage.outages.push_back(SiteOutage{
+      "A", TimePoint::FromMillis(1000), TimePoint::FromMillis(6000)});
+  for (const auto& [driver, report] : CheckBoth(t, {*r}, with_outage)) {
+    SCOPED_TRACE(driver);
+    EXPECT_TRUE(report.valid) << report.ToString();
+    EXPECT_EQ(report.obligations_checked, 1u);
+  }
+  for (const auto& [driver, report] : CheckBoth(t, {*r})) {
+    SCOPED_TRACE(driver);
+    ASSERT_FALSE(report.valid);
+    ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+    EXPECT_EQ(report.violations[0].property, 6);
+    EXPECT_EQ(report.violations[0].message,
+              "RHS step 0 of rule '" + r->ToString() +
+                  "' did not fire although its condition held throughout "
+                  "the window");
+  }
 }
 
 }  // namespace
