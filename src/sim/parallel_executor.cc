@@ -428,7 +428,7 @@ size_t ParallelExecutor::RunSuperstep(TimePoint anchor, bool has_cap,
     }
   }
 
-  if (workers_.empty() || participants_.size() == 1) {
+  if (workers_.empty() || (participants_.size() == 1 && !delivery_pending_)) {
     ReadyLoop();
   } else {
     {
@@ -439,6 +439,10 @@ size_t ParallelExecutor::RunSuperstep(TimePoint anchor, bool has_cap,
       workers_busy_ = workers_.size();
     }
     work_cv_.notify_all();
+    // The previous barrier's delivery overlaps this superstep: it reads only
+    // what the detach half took out of the lanes' reach. The driver joins
+    // the lanes once it is done.
+    RunPendingDelivery();
     ReadyLoop();
     std::unique_lock<std::mutex> lock(pool_mu_);
     done_cv_.wait(lock, [&] { return workers_busy_ == 0; });
@@ -527,6 +531,19 @@ size_t ParallelExecutor::CloseSuperstep() {
   return total;
 }
 
+void ParallelExecutor::DetachAtBarrier(TimePoint safe) {
+  RunPendingDelivery();  // never two batches in flight
+  detach_hook_(safe);
+  delivery_pending_ = true;
+  if (workers_.empty()) RunPendingDelivery();  // nothing to overlap with
+}
+
+void ParallelExecutor::RunPendingDelivery() {
+  if (!delivery_pending_) return;
+  delivery_pending_ = false;
+  deliver_hook_();
+}
+
 size_t ParallelExecutor::RunUntil(TimePoint deadline) {
   size_t steps = 0;
   TimePoint earliest;
@@ -535,13 +552,16 @@ size_t ParallelExecutor::RunUntil(TimePoint deadline) {
   const TimePoint cap = deadline + Duration::Millis(1);
   while (EarliestPending(&earliest) && earliest <= deadline) {
     steps += RunSuperstep(earliest, /*has_cap=*/true, cap);
-    if (barrier_hook_) {
-      TimePoint safe = deadline;
-      TimePoint next;
-      if (EarliestPending(&next) && next < safe) safe = next;
-      barrier_hook_(safe);
+    TimePoint next;
+    if (detach_hook_ && EarliestPending(&next) && next <= deadline) {
+      DetachAtBarrier(next);
     }
   }
+  // The run's last barrier: everything before the deadline is recorded.
+  // Its batch is delivered before returning, so the caller never sees an
+  // undelivered prefix.
+  if (detach_hook_) DetachAtBarrier(deadline);
+  RunPendingDelivery();
   if (global_now_ < deadline) global_now_ = deadline;
   for (auto& [name, lane] : lanes_) {
     if (lane->now < global_now_) lane->now = global_now_;
@@ -554,14 +574,15 @@ size_t ParallelExecutor::RunUntilIdle(size_t max_steps) {
   TimePoint earliest;
   while (EarliestPending(&earliest)) {
     steps += RunSuperstep(earliest, /*has_cap=*/false, TimePoint());
-    if (barrier_hook_) {
+    if (detach_hook_) {
       TimePoint next;
-      if (EarliestPending(&next)) barrier_hook_(next);
+      if (EarliestPending(&next)) DetachAtBarrier(next);
     }
     // Superstep-granular bound: we never cut a superstep short, so the
     // count may overshoot max_steps by up to one superstep.
     if (max_steps != 0 && steps >= max_steps) break;
   }
+  RunPendingDelivery();
   for (auto& [name, lane] : lanes_) {
     if (global_now_ < lane->now) global_now_ = lane->now;
   }

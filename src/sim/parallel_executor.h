@@ -74,7 +74,9 @@ struct ParallelExecutorConfig {
 //           messages on brand-new channels, and messages to lanes outside
 //           the participant set) in site-name order, folds the per-lane
 //           worker-local step counters into the global stats, and adapts
-//           the superstep depth.
+//           the superstep depth. A streaming hook (SetBarrierHook) detaches
+//           the trace's safe prefix here; its delivery runs on the driver
+//           during the next superstep's run phase.
 //
 // Every scheduling decision above (participation, epoch grid, clamping,
 // drain order, sequence assignment) is a pure function of the simulation,
@@ -149,14 +151,25 @@ class ParallelExecutor : public Executor {
   // The human-readable stats block examples and benches print.
   std::string DescribeStats() const;
 
-  // Streaming-check support: invoked on the driver thread after every
-  // superstep barrier with an instant `safe` such that every event the run
-  // will ever produce strictly before `safe` has already been recorded
-  // (the next pending callback, capped at the run deadline). The System
-  // uses it to flush the recorder's safe prefix into an attached sink
-  // while the simulation keeps running.
-  void SetBarrierHook(std::function<void(TimePoint safe)> hook) {
-    barrier_hook_ = std::move(hook);
+  // Streaming-check support, split around the superstep barrier:
+  //   `detach` runs on the driver thread after every superstep barrier,
+  //     while no lane executes, with an instant `safe` such that every
+  //     event the run will ever produce strictly before `safe` has already
+  //     been recorded: the next pending callback, and at the end of
+  //     RunUntil the deadline itself. The System uses it to take the
+  //     recorder's safe prefix out of the lanes' reach.
+  //   `deliver` is the work on that prefix that needs no quiescence. The
+  //     driver runs it after releasing the workers into the next superstep,
+  //     so it overlaps that superstep, and in any case before RunUntil /
+  //     RunUntilIdle return. With no worker threads it runs right after
+  //     `detach`.
+  // Both run on the thread that called RunUntil/RunUntilIdle. `deliver`
+  // runs concurrently with lane callbacks: it must not touch the state they
+  // use (lanes, shells, the executor itself).
+  void SetBarrierHook(std::function<void(TimePoint safe)> detach,
+                      std::function<void()> deliver) {
+    detach_hook_ = std::move(detach);
+    deliver_hook_ = std::move(deliver);
   }
 
  private:
@@ -273,11 +286,18 @@ class ParallelExecutor : public Executor {
   // Superstep barrier: final-segment drain, deferred merge, stats fold,
   // depth adaptation. Returns callbacks executed this superstep.
   size_t CloseSuperstep();
+  // Barrier half of the streaming hook; the deliver half is left pending
+  // (or run at once when there are no workers).
+  void DetachAtBarrier(TimePoint safe);
+  // Runs the pending deliver half, if any.
+  void RunPendingDelivery();
 
   ParallelExecutorConfig config_;
   size_t depth_ = 1;  // current epochs-per-superstep (adaptive)
   TimePoint global_now_;
-  std::function<void(TimePoint)> barrier_hook_;
+  std::function<void(TimePoint)> detach_hook_;
+  std::function<void()> deliver_hook_;
+  bool delivery_pending_ = false;  // driver thread only
   // Lanes in site-NAME order: plan-phase iteration, deferred merging, and
   // clock propagation all walk this map, and name order is the determinism
   // anchor (symbol ids vary with intern order; names do not).

@@ -13,6 +13,7 @@ Shell::Shell(std::string site, sim::Executor* executor, sim::Network* network,
              GuaranteeStatusRegistry* guarantees)
     : site_(std::move(site)),
       site_sym_(Symbols().Intern(site_)),
+      lane_sym_(Symbols().Intern(sim::BaseSiteOf(site_))),
       tr_endpoint_(TranslatorEndpoint(site_)),
       tr_endpoint_sym_(Symbols().Intern(tr_endpoint_)),
       executor_(executor),
@@ -98,17 +99,16 @@ Status Shell::StartPeriodicRule(const rule::Rule& r) {
 
 void Shell::ArmPeriodicRule(int64_t rule_id, Duration period,
                             TimePoint first_fire) {
-  int64_t period_ms = period.millis();
-  // Self-rescheduling timer; P events are recorded then matched normally.
-  // The epoch capture kills the chain when the shell crashes: the recovered
-  // incarnation re-arms its own timers from the journal.
-  auto fire = std::make_shared<std::function<void()>>();
+  // Self-rescheduling timer: each firing arms the next with a fresh closure,
+  // so no closure ever holds itself. P events are recorded then matched
+  // normally. The epoch capture kills the chain when the shell crashes: the
+  // recovered incarnation re-arms its own timers from the journal.
   uint64_t epoch = epoch_;
-  *fire = [this, epoch, rule_id, period, period_ms, fire]() {
+  executor_->ScheduleAt(lane_sym_, first_fire, [this, epoch, rule_id, period] {
     if (epoch != epoch_) return;
     rule::Event p;
     p.kind = rule::EventKind::kPeriodic;
-    p.values = {Value::Int(period_ms)};
+    p.values = {Value::Int(period.millis())};
     RecordAndProcess(std::move(p));
     TimePoint next = executor_->now() + period;
     auto it = periodic_state_.find(rule_id);
@@ -117,21 +117,25 @@ void Shell::ArmPeriodicRule(int64_t rule_id, Duration period,
       periodic_dirty_.insert(rule_id);
       store_->LogPeriodicFire(rule_id, next, executor_->now());
     }
-    executor_->ScheduleAfter(site_, period, *fire);
-  };
-  executor_->ScheduleAt(site_, first_fire, *fire);
+    ArmPeriodicRule(rule_id, period, next);
+  });
 }
 
 void Shell::AddPeriodicTask(Duration period, std::function<void()> task) {
-  auto fire = std::make_shared<std::function<void()>>();
-  auto shared_task = std::make_shared<std::function<void()>>(std::move(task));
+  ArmPeriodicTask(period,
+                  std::make_shared<const std::function<void()>>(std::move(task)));
+}
+
+void Shell::ArmPeriodicTask(Duration period,
+                            std::shared_ptr<const std::function<void()>> task) {
+  // Same shape as ArmPeriodicRule: the next run is armed by a fresh closure
+  // that shares only the task, never itself.
   uint64_t epoch = epoch_;
-  *fire = [this, epoch, period, shared_task, fire]() {
+  executor_->ScheduleAfter(lane_sym_, period, [this, epoch, period, task] {
     if (epoch != epoch_) return;
-    (*shared_task)();
-    executor_->ScheduleAfter(site_, period, *fire);
-  };
-  executor_->ScheduleAfter(site_, period, *fire);
+    (*task)();
+    ArmPeriodicTask(period, task);
+  });
 }
 
 Value Shell::ReadPrivate(const rule::ItemId& item) const {
@@ -145,6 +149,7 @@ void Shell::WritePrivate(const rule::ItemId& item, Value value,
   rule::Event w;
   w.time = executor_->now();
   w.site = site_;
+  w.site_sym = site_sym_;
   w.kind = rule::EventKind::kWrite;
   w.item = item;
   w.values = {value};
@@ -394,7 +399,7 @@ void Shell::ExecuteStep(int64_t rule_id, int64_t trigger_event_id,
                         uint64_t fire_seq) {
   uint64_t epoch = epoch_;
   executor_->PostAfter(
-      site_, step_delay_,
+      lane_sym_, step_delay_,
       [this, epoch, rule_id, trigger_event_id, step, fire_seq,
        binding = std::move(binding)]() mutable {
         if (epoch != epoch_) return;  // scheduled before a crash
@@ -466,7 +471,7 @@ void Shell::ExecuteStepCompiled(int64_t rule_id, int64_t trigger_event_id,
                                 uint64_t fire_seq) {
   uint64_t epoch = epoch_;
   executor_->PostAfter(
-      site_, step_delay_,
+      lane_sym_, step_delay_,
       [this, epoch, rule_id, trigger_event_id, step, fire_seq,
        frame = std::move(frame)]() mutable {
         if (epoch != epoch_) return;  // scheduled before a crash
@@ -802,7 +807,7 @@ Result<Shell::RecoverySummary> Shell::Recover() {
     // a full deadline to settle; late-fire notices raised at restart fold
     // into the still-open void window instead of opening a second one.
     uint64_t epoch = epoch_;
-    executor_->ScheduleAfter(site_, max_delta, [this, epoch]() {
+    executor_->ScheduleAfter(lane_sym_, max_delta, [this, epoch]() {
       if (epoch != epoch_) return;
       if (guarantees_ != nullptr) {
         guarantees_->ReestablishSite(site_, executor_->now());

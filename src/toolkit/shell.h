@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -214,6 +215,9 @@ class Shell {
   // Self-rescheduling timer behind a P(p) rule, firing first at
   // `first_fire` and every `period` after; invalidated by epoch bumps.
   void ArmPeriodicRule(int64_t rule_id, Duration period, TimePoint first_fire);
+  // Runs `task` every `period` from now on; invalidated by epoch bumps.
+  void ArmPeriodicTask(Duration period,
+                       std::shared_ptr<const std::function<void()>> task);
   // Journals a firing's begin record and registers it as outstanding.
   uint64_t NoteFireBegin(const rule::Rule& r, int64_t trigger_event_id,
                          TimePoint trigger_time,
@@ -229,6 +233,8 @@ class Shell {
 
   std::string site_;
   uint32_t site_sym_ = kNoSymbol;
+  // Interned base site: the executor lane every timer of this shell runs on.
+  uint32_t lane_sym_ = kNoSymbol;
   // Cached translator endpoint (satellite of the symbol refactor: the old
   // code rebuilt "site#tr" on every WR/RR/DEL send).
   std::string tr_endpoint_;

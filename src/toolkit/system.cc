@@ -329,6 +329,7 @@ Status System::WorkloadWrite(const rule::ItemId& item, const Value& value) {
   rule::Event ws;
   ws.time = executor_->now();
   ws.site = tr->site();
+  ws.site_sym = tr->site_sym();
   ws.kind = rule::EventKind::kWriteSpont;
   ws.item = item;
   ws.values = {old_value, value};
@@ -343,6 +344,7 @@ Status System::WorkloadInsert(const rule::ItemId& item) {
   rule::Event ins;
   ins.time = executor_->now();
   ins.site = tr->site();
+  ins.site_sym = tr->site_sym();
   ins.kind = rule::EventKind::kInsert;
   ins.item = item;
   recorder_->Record(ins);
@@ -356,6 +358,7 @@ Status System::WorkloadDelete(const rule::ItemId& item) {
   rule::Event del;
   del.time = executor_->now();
   del.site = tr->site();
+  del.site_sym = tr->site_sym();
   del.kind = rule::EventKind::kDelete;
   del.item = item;
   recorder_->Record(del);
@@ -373,6 +376,7 @@ void System::NoteSpontaneousInsert(const rule::ItemId& item,
   rule::Event ins;
   ins.time = executor_->now();
   ins.site = site;
+  ins.site_sym = Symbols().Intern(site);
   ins.kind = rule::EventKind::kInsert;
   ins.item = item;
   recorder_->Record(ins);
@@ -383,6 +387,7 @@ void System::NoteSpontaneousDelete(const rule::ItemId& item,
   rule::Event del;
   del.time = executor_->now();
   del.site = site;
+  del.site_sym = Symbols().Intern(site);
   del.kind = rule::EventKind::kDelete;
   del.item = item;
   recorder_->Record(del);
@@ -611,9 +616,12 @@ Status System::AttachStreamingChecker(trace::StreamingChecker* checker,
     checker->NoteOutage(trace::SiteOutage{w.site, w.from, w.to});
   }
   if (auto* parallel = dynamic_cast<sim::ParallelExecutor*>(executor_.get())) {
+    // Detach at the barrier; merge, renumber and check while the lanes run
+    // the next superstep.
     trace::TraceRecorder* recorder = recorder_.get();
     parallel->SetBarrierHook(
-        [recorder](TimePoint safe) { recorder->FlushSink(safe); });
+        [recorder](TimePoint safe) { recorder->DetachReady(safe); },
+        [recorder] { recorder->DeliverDetached(); });
   }
   return Status::OK();
 }

@@ -166,10 +166,15 @@ class System {
 
   // Wires a streaming checker into the run: attaches it as the recorder's
   // sink (drain = true stops accumulating the offline trace, bounding the
-  // recorder's memory too), flushes the safe prefix at every parallel
+  // recorder's memory too), streams the safe prefix from every parallel
   // superstep barrier (the classic recorder streams per Record call), sizes
   // the sharded recorder's trigger-remap retention, and forwards outages —
   // both already-scheduled down windows and future ScheduleCrash calls.
+  // With worker threads the barrier only detaches the prefix; merging it
+  // and running the checker overlap the next superstep, and everything is
+  // delivered before RunFor returns. The checker's callbacks (on_violation
+  // included) run on the thread that called RunFor, concurrently with lane
+  // callbacks, so they must not touch this System.
   // Call after installing strategies, before RunFor. The checker must
   // outlive the System's last RunFor/FinishTrace call.
   Status AttachStreamingChecker(trace::StreamingChecker* checker,

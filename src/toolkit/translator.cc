@@ -12,6 +12,7 @@ Translator::Translator(RidConfig config, sim::Executor* executor,
       endpoint_(TranslatorEndpoint(config_.site)),
       endpoint_sym_(Symbols().Intern(endpoint_)),
       site_sym_(Symbols().Intern(config_.site)),
+      lane_sym_(Symbols().Intern(sim::BaseSiteOf(config_.site))),
       executor_(executor),
       network_(network),
       recorder_(recorder),
@@ -97,6 +98,7 @@ void Translator::OnMessage(const sim::Message& message) {
     rule::Event wr = req.event;
     wr.time = executor_->now();
     wr.site = config_.site;
+    wr.site_sym = site_sym_;
     recorder_->Record(wr);
     HandleWriteRequest(std::move(wr));
   } else if (message.kind == "rr") {
@@ -104,6 +106,7 @@ void Translator::OnMessage(const sim::Message& message) {
     rule::Event rr = req.event;
     rr.time = executor_->now();
     rr.site = config_.site;
+    rr.site_sym = site_sym_;
     recorder_->Record(rr);
     HandleReadRequest(std::move(rr), req.whole_base);
   } else if (message.kind == "del") {
@@ -111,6 +114,7 @@ void Translator::OnMessage(const sim::Message& message) {
     rule::Event del = req.event;
     del.time = executor_->now();
     del.site = config_.site;
+    del.site_sym = site_sym_;
     // DEL is recorded when the native delete actually happens.
     HandleDeleteRequest(std::move(del));
   } else {
@@ -179,7 +183,7 @@ void Translator::HandleWriteRequest(rule::Event wr_event) {
   auto extra = PreflightOp(&retry_at);
   if (!extra.ok()) {
     if (!crash_is_logical_) {
-      executor_->ScheduleAt(config_.site, retry_at, [this, wr_event]() {
+      executor_->ScheduleAt(lane_sym_, retry_at, [this, wr_event]() {
         HandleWriteRequest(wr_event);
       });
     }
@@ -192,7 +196,7 @@ void Translator::HandleWriteRequest(rule::Event wr_event) {
   TimePoint at = executor_->now() + write_delay_ + *extra;
   if (at <= last_write_at_) at = last_write_at_ + Duration::Millis(1);
   last_write_at_ = at;
-  executor_->ScheduleAt(config_.site, at, [this, wr_event]() {
+  executor_->ScheduleAt(lane_sym_, at, [this, wr_event]() {
     const RidItemMapping* mapping = MappingOrNull(wr_event.item.base);
     if (mapping == nullptr || mapping->write_command.empty()) {
       SendFailure(FailureClass::kLogical,
@@ -211,6 +215,7 @@ void Translator::HandleWriteRequest(rule::Event wr_event) {
     rule::Event w;
     w.time = executor_->now();
     w.site = config_.site;
+    w.site_sym = site_sym_;
     w.kind = rule::EventKind::kWrite;
     w.item = wr_event.item;
     w.values = {wr_event.written_value()};
@@ -223,7 +228,7 @@ void Translator::HandleReadRequest(rule::Event rr_event, bool whole_base) {
   auto extra = PreflightOp(&retry_at);
   if (!extra.ok()) {
     if (!crash_is_logical_) {
-      executor_->ScheduleAt(config_.site, retry_at,
+      executor_->ScheduleAt(lane_sym_, retry_at,
                             [this, rr_event, whole_base]() {
                               HandleReadRequest(rr_event, whole_base);
                             });
@@ -231,7 +236,7 @@ void Translator::HandleReadRequest(rule::Event rr_event, bool whole_base) {
     return;
   }
   Duration delay = read_delay_ + *extra;
-  executor_->ScheduleAfter(config_.site, delay, [this, rr_event, whole_base]() {
+  executor_->ScheduleAfter(lane_sym_, delay, [this, rr_event, whole_base]() {
     const RidItemMapping* mapping = MappingOrNull(rr_event.item.base);
     if (mapping == nullptr || mapping->read_command.empty()) {
       SendFailure(FailureClass::kLogical,
@@ -278,14 +283,14 @@ void Translator::HandleDeleteRequest(rule::Event del_event) {
   auto extra = PreflightOp(&retry_at);
   if (!extra.ok()) {
     if (!crash_is_logical_) {
-      executor_->ScheduleAt(config_.site, retry_at, [this, del_event]() {
+      executor_->ScheduleAt(lane_sym_, retry_at, [this, del_event]() {
         HandleDeleteRequest(del_event);
       });
     }
     return;
   }
   Duration delay = write_delay_ + *extra;
-  executor_->ScheduleAfter(config_.site, delay, [this, del_event]() {
+  executor_->ScheduleAfter(lane_sym_, delay, [this, del_event]() {
     const RidItemMapping* mapping = MappingOrNull(del_event.item.base);
     if (mapping == nullptr || mapping->delete_command.empty()) {
       SendFailure(FailureClass::kLogical,
@@ -301,6 +306,7 @@ void Translator::HandleDeleteRequest(rule::Event del_event) {
     rule::Event del;
     del.time = executor_->now();
     del.site = config_.site;
+    del.site_sym = site_sym_;
     del.kind = rule::EventKind::kDelete;
     del.item = del_event.item;
     del.rule_id = del_event.rule_id;
@@ -339,8 +345,7 @@ Status Translator::SetupNotifyInterfaces() {
                 if (!pass.ok() || !*pass) return;
               }
               executor_->ScheduleAfter(
-                  config_.site,
-                  delay, [this, base, args, new_value]() {
+                  lane_sym_, delay, [this, base, args, new_value]() {
                     rule::Event n;
                     n.kind = rule::EventKind::kNotify;
                     n.item = rule::ItemId{base, args};
@@ -376,7 +381,7 @@ Status Translator::SetupNotifyInterfaces() {
 
 void Translator::SchedulePeriodicReport(const RidItemMapping& mapping,
                                         Duration period) {
-  executor_->ScheduleAfter(config_.site, period, [this, &mapping, period]() {
+  executor_->ScheduleAfter(lane_sym_, period, [this, &mapping, period]() {
     auto tuples = NativeList(mapping);
     std::vector<std::vector<Value>> arg_tuples;
     if (tuples.ok()) {

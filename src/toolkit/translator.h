@@ -40,6 +40,7 @@ class Translator {
   Translator& operator=(const Translator&) = delete;
 
   const std::string& site() const { return config_.site; }
+  uint32_t site_sym() const { return site_sym_; }
   const RidConfig& rid() const { return config_; }
 
   // The native-write serialization point, captured into site snapshots so
@@ -126,6 +127,9 @@ class Translator {
   std::string endpoint_;
   uint32_t endpoint_sym_ = kNoSymbol;
   uint32_t site_sym_ = kNoSymbol;
+  // Interned base site: the executor lane every timer of this translator
+  // runs on.
+  uint32_t lane_sym_ = kNoSymbol;
   sim::Executor* executor_;
   sim::Network* network_;
   trace::TraceRecorder* recorder_;

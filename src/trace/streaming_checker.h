@@ -8,7 +8,9 @@
 //
 // The checker is a TraceSink: the recorders feed it events in final merge
 // order with final dense ids (ShardedTraceRecorder renumbers the safe
-// prefix per flush), watermarks tell it which instants are complete, and
+// prefix per flush — detached at a superstep barrier, delivered while the
+// lanes run the next superstep), watermarks tell it which instants are
+// complete, and
 // OnFinish triggers the same phase-ordered report assembly the offline
 // checker performs — through the shared bounded-sink/ordered-merge core in
 // check_window.h, so capping semantics agree exactly. Both checkers decide
@@ -70,7 +72,9 @@ struct StreamingCheckOptions {
   GuaranteeCheckOptions guarantee;
   // Live notification for each valid-execution violation as it is found
   // (best-effort preview: the merged final report applies the global cap
-  // and canonical ordering).
+  // and canonical ordering). Like every checker callback it runs on the
+  // thread that drives the run (System::RunFor's caller) while parallel
+  // lanes keep executing: it must not touch the System.
   std::function<void(const ExecutionViolation&)> on_violation;
   // Live notification for each violated guarantee witness found by a
   // windowed evaluation (name, counterexample).
@@ -127,7 +131,8 @@ class StreamingChecker : public TraceSink {
   // wiring satisfies this trivially).
   void NoteOutage(const SiteOutage& outage);
 
-  // TraceSink interface (driven by the recorder on the feed thread).
+  // TraceSink interface, driven by the recorder on the thread that drives
+  // the run; with the parallel engine, concurrently with lane callbacks.
   void OnInitialValue(const rule::ItemId& item, const Value& value) override;
   void OnEvent(const rule::Event& event) override;
   void OnWatermark(TimePoint watermark) override;

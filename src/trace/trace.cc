@@ -68,7 +68,7 @@ void TraceRecorder::AttachSink(TraceSink* sink, bool drain) {
   }
 }
 
-void TraceRecorder::FlushSink(TimePoint watermark) {
+void TraceRecorder::DetachReady(TimePoint watermark) {
   if (sink_ == nullptr || watermark <= last_watermark_) return;
   last_watermark_ = watermark;
   sink_->OnWatermark(watermark);

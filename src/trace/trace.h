@@ -50,8 +50,10 @@ void InternTraceItems(Trace* trace);
 // recorder's Finish would produce — the sharded recorder merges and
 // renumbers its shards' safe prefix before delivery — so a sink observing
 // the whole feed sees the final trace, event for event. All callbacks run
-// on the thread driving the recorder (the simulation driver); sinks need
-// no internal locking.
+// on one thread, the one driving the run (the caller of RunFor), so sinks
+// need no internal locking. With the parallel engine that thread delivers
+// while the lanes execute the next superstep: a sink must not touch the
+// simulation (System, shells, executor) from its callbacks.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
@@ -119,13 +121,25 @@ class TraceRecorder {
   // mode) Finish still returns the full canonical trace.
   virtual void AttachSink(TraceSink* sink, bool drain);
 
-  // Delivers every event known to precede `watermark` to the sink, then
-  // forwards the watermark. The single-threaded recorder records in final
-  // order and feeds the sink inside Record already, so this only forwards
-  // the watermark; the sharded recorder merges + renumbers the safe prefix
-  // here. Callers (System / ParallelExecutor barriers) must pass
-  // nondecreasing watermarks ≤ the earliest still-unrecorded instant.
-  virtual void FlushSink(TimePoint watermark);
+  // Streaming delivery, split in two halves so the parallel engine can
+  // overlap the second with the next superstep:
+  //   DetachReady(W) — only where recording is quiescent (a superstep
+  //     barrier, or between runs): takes every event known to precede W
+  //     out of the recording buffers. Delivers a still-pending batch first.
+  //   DeliverDetached() — hands the detached batch to the sink in canonical
+  //     order with final ids, then forwards W. It touches nothing Record
+  //     writes, so it may run while lanes record.
+  // The single-threaded recorder records in final order and feeds the sink
+  // inside Record already, so its DetachReady only forwards the watermark
+  // and DeliverDetached has nothing to do. Callers must pass nondecreasing
+  // watermarks ≤ the earliest still-unrecorded instant.
+  virtual void DetachReady(TimePoint watermark);
+  virtual void DeliverDetached() {}
+  // Both halves back to back (System::RunFor's end-of-run flush).
+  void FlushSink(TimePoint watermark) {
+    DetachReady(watermark);
+    DeliverDetached();
+  }
 
   // Count of events recorded (not reduced by drain-mode shedding).
   virtual size_t num_events() const { return num_recorded_; }
@@ -139,7 +153,7 @@ class TraceRecorder {
 
   TraceSink* sink_ = nullptr;
   bool drain_ = false;
-  TimePoint last_watermark_;  // nondecreasing guard for FlushSink
+  TimePoint last_watermark_;  // nondecreasing guard for DetachReady
 
  private:
   Trace trace_;

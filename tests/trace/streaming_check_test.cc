@@ -5,11 +5,19 @@
 // still accumulated, both checked) over the E1 payroll deployment and the
 // E9 Stanford deployment at 1 and 4 worker threads, over a randomized
 // 100k-event trace with injected violations (reported live, mid-run), and
-// over a crash/recover run against the outage-aware offline checker.
+// over a crash/recover run against the outage-aware offline checker on the
+// sequential and the parallel engine. The overlap case checks the parallel
+// engine's delivery contract in tee and drain mode at 1, 2 and 4 threads:
+// identical reports, everything delivered when RunFor returns, and checker
+// callbacks only on the RunFor caller's thread.
 
+#include <algorithm>
 #include <filesystem>
+#include <mutex>
 #include <queue>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -183,11 +191,11 @@ item GroupPhone
 interface write GroupPhone(n) 2s
 )";
 
-void RunStanfordTee(size_t threads) {
+// The three-site deployment with two copy strategies installed; `rules`
+// and `guarantees` come back as the checker needs them.
+void BuildStanford(toolkit::System& system, std::vector<rule::Rule>* rules,
+                   std::vector<spec::Guarantee>* guarantees) {
   constexpr int kStaff = 8;
-  toolkit::SystemOptions opts;
-  opts.num_threads = threads;
-  toolkit::System system(opts);
   auto* whois = *system.AddWhoisSite("WHOIS");
   auto* lookup = *system.AddFileSite("LOOKUP");
   auto* group = *system.AddRelationalSite("GROUP");
@@ -207,8 +215,6 @@ void RunStanfordTee(size_t threads) {
     system.DeclareInitial(ItemId{"CsdPhone", {login}});
     system.DeclareInitial(ItemId{"GroupPhone", {login}});
   }
-  std::vector<rule::Rule> rules;
-  std::vector<spec::Guarantee> guarantees;
   int64_t next_id = 1;
   for (const char* copy : {"CsdPhone(n)", "GroupPhone(n)"}) {
     auto constraint = *spec::MakeCopyConstraint("phone(n)", copy);
@@ -216,12 +222,31 @@ void RunStanfordTee(size_t threads) {
     ASSERT_EQ(system.InstallStrategy(std::string("c/") + copy, constraint,
                                      suggestions.at(0).strategy),
               Status::OK());
-    AppendInstalledRules(suggestions.at(0).strategy, &rules, &next_id);
-    guarantees.push_back(spec::YFollowsX("phone(n)", copy));
-    guarantees.back().name += std::string(" ") + copy;
-    guarantees.push_back(spec::XLeadsY("phone(n)", copy));
-    guarantees.back().name += std::string(" ") + copy;
+    AppendInstalledRules(suggestions.at(0).strategy, rules, &next_id);
+    guarantees->push_back(spec::YFollowsX("phone(n)", copy));
+    guarantees->back().name += std::string(" ") + copy;
+    guarantees->push_back(spec::XLeadsY("phone(n)", copy));
+    guarantees->back().name += std::string(" ") + copy;
   }
+}
+
+// One random phone update on the deployment BuildStanford made.
+Status WritePhone(toolkit::System& system, Rng& rng) {
+  int i = static_cast<int>(rng.Index(8));
+  std::string number = std::to_string(rng.UniformInt(200, 999)) + "-" +
+                       std::to_string(rng.UniformInt(1000, 9999));
+  return system.WorkloadWrite(
+      ItemId{"phone", {Value::Str("user" + std::to_string(i))}},
+      Value::Str(number));
+}
+
+void RunStanfordTee(size_t threads) {
+  toolkit::SystemOptions opts;
+  opts.num_threads = threads;
+  toolkit::System system(opts);
+  std::vector<rule::Rule> rules;
+  std::vector<spec::Guarantee> guarantees;
+  ASSERT_NO_FATAL_FAILURE(BuildStanford(system, &rules, &guarantees));
 
   StreamingCheckOptions sopts;
   sopts.guarantee.settle_margin = Duration::Minutes(1);
@@ -230,13 +255,7 @@ void RunStanfordTee(size_t threads) {
 
   Rng rng(5);
   for (int u = 0; u < 20; ++u) {
-    int i = static_cast<int>(rng.Index(kStaff));
-    std::string number = std::to_string(rng.UniformInt(200, 999)) + "-" +
-                         std::to_string(rng.UniformInt(1000, 9999));
-    ASSERT_EQ(system.WorkloadWrite(
-                  ItemId{"phone", {Value::Str("user" + std::to_string(i))}},
-                  Value::Str(number)),
-              Status::OK());
+    ASSERT_EQ(WritePhone(system, rng), Status::OK());
     system.RunFor(Duration::Millis(rng.UniformInt(200, 5000)));
   }
   system.RunFor(Duration::Minutes(2));
@@ -259,6 +278,106 @@ TEST(StreamingCheckTest, StanfordTeeMatchesOfflineSingleThread) {
 
 TEST(StreamingCheckTest, StanfordTeeMatchesOfflineFourThreads) {
   RunStanfordTee(4);
+}
+
+// --- Delivery overlapped with the next superstep ---
+//
+// With worker threads the System only detaches the trace's safe prefix at
+// a superstep barrier; the merge and the checker run on the RunFor caller's
+// thread while the lanes execute the next superstep, and RunFor returns
+// only after the batch sealed at its deadline was delivered. The checker's rules carry one
+// rule that is never installed, so every phone notify leaves a missed
+// obligation and on_violation fires throughout the run.
+
+struct OverlapRun {
+  std::vector<rule::Rule> rules;  // as checked: installed + phantom
+  std::vector<spec::Guarantee> guarantees;
+  CheckedRun checked;
+  Trace trace;  // no events in drain mode
+  // After each RunFor: its deadline and the checker's events_seen.
+  std::vector<std::pair<TimePoint, size_t>> seen_after_run;
+  std::set<std::thread::id> violation_threads;
+  size_t live_violations = 0;
+};
+
+constexpr const char* kPhantomRule = "N(phone(n), b) -> 1s WR(Phantom(n), b)";
+
+void RunStanfordOverlap(size_t threads, bool drain, OverlapRun* run) {
+  toolkit::SystemOptions opts;
+  opts.num_threads = threads;
+  toolkit::System system(opts);
+  std::vector<rule::Rule>& rules = run->rules;
+  std::vector<spec::Guarantee>& guarantees = run->guarantees;
+  ASSERT_NO_FATAL_FAILURE(BuildStanford(system, &rules, &guarantees));
+  auto phantom = rule::ParseRule(kPhantomRule);
+  ASSERT_TRUE(phantom.ok());
+  phantom->id = 1000;
+  rules.push_back(*phantom);
+
+  std::mutex mu;
+  StreamingCheckOptions sopts;
+  sopts.guarantee.settle_margin = Duration::Minutes(1);
+  sopts.on_violation = [&](const ExecutionViolation&) {
+    std::lock_guard<std::mutex> lock(mu);
+    run->violation_threads.insert(std::this_thread::get_id());
+  };
+  StreamingChecker checker(rules, guarantees, sopts);
+  ASSERT_EQ(system.AttachStreamingChecker(&checker, drain), Status::OK());
+
+  // Driven through the executor itself: the engine, not System::RunFor's
+  // end-of-run flush, must have delivered everything before the deadline.
+  Rng rng(11);
+  for (int u = 0; u < 30; ++u) {
+    ASSERT_EQ(WritePhone(system, rng), Status::OK());
+    system.executor().RunFor(Duration::Millis(rng.UniformInt(100, 3000)));
+    run->seen_after_run.emplace_back(system.executor().now(),
+                                     checker.stats().events_seen);
+  }
+  system.RunFor(Duration::Minutes(2));
+  run->trace = system.FinishTrace();
+  ASSERT_TRUE(checker.finished());
+  run->checked = StreamingResult(checker);
+  run->live_violations = checker.stats().live_violations;
+}
+
+TEST(StreamingCheckTest, OverlappedDeliveryMatchesOfflineAtAnyThreadCount) {
+  OverlapRun reference;
+  ASSERT_NO_FATAL_FAILURE(RunStanfordOverlap(1, /*drain=*/false, &reference));
+  ASSERT_FALSE(reference.trace.events.empty());
+  GuaranteeCheckOptions gopts;
+  gopts.settle_margin = Duration::Minutes(1);
+  CheckedRun offline = OfflineCheck(reference.trace, reference.rules,
+                                    reference.guarantees, {}, gopts);
+  EXPECT_EQ(reference.checked.execution, offline.execution);
+  EXPECT_EQ(reference.checked.guarantees, offline.guarantees);
+  EXPECT_NE(offline.execution.find("property 6"), std::string::npos)
+      << offline.execution;
+  for (size_t threads : {1, 2, 4}) {
+    for (bool drain : {false, true}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   (drain ? " drain" : " tee"));
+      OverlapRun run;
+      ASSERT_NO_FATAL_FAILURE(RunStanfordOverlap(threads, drain, &run));
+      EXPECT_EQ(run.checked.execution, reference.checked.execution);
+      EXPECT_EQ(run.checked.guarantees, reference.checked.guarantees);
+      EXPECT_EQ(run.trace.events.size(),
+                drain ? 0 : reference.trace.events.size());
+      // Every batch detached before RunFor returned was delivered by then.
+      ASSERT_EQ(run.seen_after_run.size(), reference.seen_after_run.size());
+      for (const auto& [deadline, seen] : run.seen_after_run) {
+        size_t before = static_cast<size_t>(std::count_if(
+            reference.trace.events.begin(), reference.trace.events.end(),
+            [deadline = deadline](const Event& e) {
+              return e.time < deadline;
+            }));
+        EXPECT_EQ(seen, before) << "after RunFor to " << deadline.ToString();
+      }
+      // Checker callbacks run on the thread that called RunFor.
+      EXPECT_GT(run.live_violations, 0u);
+      EXPECT_EQ(run.violation_threads,
+                std::set<std::thread::id>{std::this_thread::get_id()});
+    }
+  }
 }
 
 // --- Randomized 100k-event trace with injected violations ---
@@ -542,10 +661,14 @@ TEST(StreamingCheckTest, WindowedGuaranteeRegionsMatchOffline) {
 
 // --- Crash/recover vs the outage-aware offline checker ---
 
-TEST(StreamingCheckTest, CrashRecoveryMatchesOutageAwareOffline) {
-  std::string dir = ::testing::TempDir() + "/streaming_crash_eq";
+// Also run on the parallel engine, so the crash and recovery of a shell on
+// its lane overlap the driver's delivery of the previous superstep.
+void RunCrashRecovery(size_t threads) {
+  std::string dir = ::testing::TempDir() + "/streaming_crash_eq_" +
+                    std::to_string(threads);
   std::filesystem::remove_all(dir);
   toolkit::SystemOptions opts;
+  opts.num_threads = threads;
   opts.storage.dir = dir;
   opts.storage.commit_interval = Duration::Millis(10);
   opts.storage.snapshot_period = Duration::Seconds(5);
@@ -613,6 +736,14 @@ TEST(StreamingCheckTest, CrashRecoveryMatchesOutageAwareOffline) {
   EXPECT_EQ(streaming.guarantees, offline.guarantees);
   EXPECT_TRUE(checker.execution_report().valid)
       << checker.execution_report().ToString();
+}
+
+TEST(StreamingCheckTest, CrashRecoveryMatchesOutageAwareOffline) {
+  RunCrashRecovery(0);
+}
+
+TEST(StreamingCheckTest, CrashRecoveryMatchesOutageAwareOfflineFourThreads) {
+  RunCrashRecovery(4);
 }
 
 // The outage windows are load-bearing on the streaming side too: cut the
