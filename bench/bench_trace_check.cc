@@ -643,8 +643,8 @@ int main(int argc, char** argv) {
   }
   for (const auto& r : simcheck) {
     if (r.name == "simcheck_streaming" && seq_ms > 0 && r.wall_ms > 0) {
-      std::printf("  overlap speedup: %.2fx (check rides the superstep "
-                  "barriers; no offline trace)\n",
+      std::printf("  overlap speedup: %.2fx (check overlaps the "
+                  "supersteps; no offline trace)\n",
                   seq_ms / r.wall_ms);
     }
   }
