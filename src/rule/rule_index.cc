@@ -35,8 +35,8 @@ const std::vector<size_t>* RuleIndex::ExactBucket(const Event& event) const {
   return it == exact_.end() ? nullptr : &it->second;
 }
 
-size_t RuleIndex::LookupQuiet(const Event& event,
-                              std::vector<size_t>* out) const {
+size_t RuleIndex::Lookup(const Event& event,
+                         std::vector<size_t>* out) const {
   out->clear();
   const std::vector<size_t>* exact = ExactBucket(event);
   const std::vector<size_t>& wild =
@@ -52,18 +52,10 @@ size_t RuleIndex::LookupQuiet(const Event& event,
     std::merge(exact->begin(), exact->end(), wild.begin(), wild.end(),
                std::back_inserter(*out));
   }
-  return out->size();
-}
-
-size_t RuleIndex::Lookup(const Event& event,
-                         std::vector<size_t>* out) const {
-  LookupQuiet(event, out);
   ++events_dispatched_;
   candidates_returned_ += out->size();
   scans_avoided_ += total_rules_ - out->size();
-  if (!wildcard_[static_cast<size_t>(event.kind)].empty()) {
-    ++wildcard_hits_;
-  }
+  if (!wild.empty()) ++wildcard_hits_;
   return out->size();
 }
 

@@ -79,10 +79,6 @@ class RuleIndex {
   // candidates. Allocation-free once `out` has warmed up its capacity.
   size_t Lookup(const Event& event, std::vector<size_t>* out) const;
 
-  // Lookup without updating the traffic counters: safe for concurrent use
-  // from checker worker threads on a shared index.
-  size_t LookupQuiet(const Event& event, std::vector<size_t>* out) const;
-
   size_t size() const { return total_rules_; }
   bool empty() const { return total_rules_ == 0; }
 
@@ -116,7 +112,8 @@ class RuleIndex {
   size_t wildcard_rules_ = 0;
   size_t kind_rules_[kNumKinds] = {};  // templates registered per kind
   // Traffic counters; mutable so Lookup stays const for callers holding a
-  // const shell/index.
+  // const shell/index. Not synchronized: an index is used by one thread at
+  // a time (a shell's lane, or a trace checker's private copy).
   mutable uint64_t events_dispatched_ = 0;
   mutable uint64_t candidates_returned_ = 0;
   mutable uint64_t scans_avoided_ = 0;

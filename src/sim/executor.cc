@@ -1,9 +1,6 @@
 #include "src/sim/executor.h"
 
 #include <algorithm>
-#include <cassert>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 namespace hcm::sim {
@@ -82,36 +79,6 @@ size_t Executor::RunUntilIdle(size_t max_steps) {
     ++steps;
     if (max_steps != 0 && steps >= max_steps) break;
   }
-  return steps;
-}
-
-size_t Executor::RunRealtimeFor(Duration d, double time_scale) {
-  assert(time_scale > 0);
-  TimePoint deadline = now_ + d;
-  TimePoint virtual_start = now_;
-  auto wall_start = std::chrono::steady_clock::now();
-  size_t steps = 0;
-  while (!queue_.empty()) {
-    if (timers_.IsCancelled(queue_.front().ticket)) {
-      PopTop();  // sweep without copying the payload
-      continue;
-    }
-    if (deadline < queue_.front().when) break;
-    // Sleep until the event's wall-clock due time.
-    double virtual_ms =
-        static_cast<double>((queue_.front().when - virtual_start).millis());
-    auto wall_due =
-        wall_start + std::chrono::duration_cast<
-                         std::chrono::steady_clock::duration>(
-                         std::chrono::duration<double, std::milli>(
-                             virtual_ms / time_scale));
-    std::this_thread::sleep_until(wall_due);
-    Entry entry = PopTop();
-    now_ = entry.when;
-    entry.fn();
-    ++steps;
-  }
-  if (now_ < deadline) now_ = deadline;
   return steps;
 }
 

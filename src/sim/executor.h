@@ -208,12 +208,6 @@ class Executor {
   // Runs for `d` of virtual time from now().
   size_t RunFor(Duration d) { return RunUntil(now() + d); }
 
-  // Like RunFor, but paces execution against the wall clock: one second of
-  // virtual time takes 1/time_scale wall seconds. Useful for live demos of
-  // the toolkit; tests use large scales so pacing stays fast. time_scale
-  // must be positive. Single-queue engine only.
-  size_t RunRealtimeFor(Duration d, double time_scale);
-
   virtual size_t pending_count() const { return queue_.size(); }
 
  protected:

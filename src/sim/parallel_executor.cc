@@ -155,9 +155,8 @@ void ParallelExecutor::PostElidableAt(uint32_t site_sym, TimePoint when,
 
 void ParallelExecutor::EmitCrossPost(Lane* src, uint32_t dst_sym,
                                      TimePoint when, std::function<void()> fn,
-                                     bool elidable) {
+                                     bool elide) {
   ++src->ep_cross;
-  bool elide = elidable && config_.honor_elidable;
   auto it = src->out_by_sym.find(dst_sym);
   LaneChannel* ch = it != src->out_by_sym.end() ? it->second : nullptr;
   if (ch != nullptr && ch->dst->participating) {

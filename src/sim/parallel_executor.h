@@ -39,11 +39,6 @@ struct ParallelExecutorConfig {
   // contact deliveries, and halves otherwise. 1 = a barrier per epoch (the
   // pre-epoch engine's cadence). Clamped to [1, kMaxEpochsPerSuperstep].
   size_t max_epochs_per_superstep = 16;
-
-  // When false, elidable posts (PostElidableAt — messages fired by
-  // statically monotone rules) are clamped like any other cross-lane post.
-  // The elision-soundness tests flip this to compare schedules.
-  bool honor_elidable = true;
 };
 
 // Site-sharded discrete-event executor: the conservative-time-window PDES
@@ -96,8 +91,8 @@ struct ParallelExecutorConfig {
 // lane; untagged scheduling from outside any superstep (e.g. main-thread
 // setup) lands on a control lane named "".
 //
-// Limitations (documented, asserted where cheap): Step()/RunRealtimeFor
-// are unsupported; Timers for cross-lane schedules cannot be cancelled;
+// Limitations (documented, asserted where cheap): Step() is unsupported;
+// Timers for cross-lane schedules cannot be cancelled;
 // Timer::Cancel must be called from the owning lane or between runs.
 class ParallelExecutor : public Executor {
  public:
@@ -265,7 +260,7 @@ class ParallelExecutor : public Executor {
   bool EarliestPending(TimePoint* out);
   // Routes a cross-lane post emitted from inside `src`'s epoch.
   void EmitCrossPost(Lane* src, uint32_t dst_sym, TimePoint when,
-                     std::function<void()> fn, bool elidable);
+                     std::function<void()> fn, bool elide);
   // Returns (creating if needed) the channel src -> dst_sym; driver only.
   LaneChannel* EnsureChannel(Lane* src, Lane* dst);
   void RebuildChannelListsIfDirty();

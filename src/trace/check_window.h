@@ -7,10 +7,10 @@
 // (streaming_checker.cc) report violations through the same bounded sink /
 // ordered-merge machinery, so their final reports agree byte-for-byte: a
 // violation is tagged with the ordinal of the event (or channel) that
-// produced it plus a per-ordinal emission sequence, each phase keeps only
-// the `cap` earliest by that order (a max-heap evicts the latest), and the
-// phase merge sorts the kept set back into single-threaded emission order
-// while applying the global cap across phases.
+// produced it plus a per-ordinal emission sequence, each phase writes one
+// sink that keeps only the `cap` earliest by that order (a max-heap evicts
+// the latest), and the phase merge sorts the kept set back into trace
+// order while applying the global cap across phases.
 
 #include <algorithm>
 #include <cstdint>
@@ -39,11 +39,13 @@ struct TaggedEarlier {
   }
 };
 
-// Per-worker (or per-phase) result collector. Violations are bounded: the
-// sink keeps the `cap` earliest (by merge order) it has seen and counts
-// everything found, so a pathological trace cannot materialize unbounded
-// violation text while the global first `cap` (always a subset of each
-// sink's kept set) stays exact.
+// One phase's result collector. Violations are bounded: the sink keeps the
+// `cap` earliest (by merge order) it has seen and counts everything found,
+// so a pathological trace cannot materialize unbounded violation text while
+// the global first `cap` (always a subset of the kept set) stays exact. A
+// phase may emit out of trace order (the offline driver walks property 2
+// item by item; the streaming driver resolves obligations late): the
+// ordinal tag restores the order.
 class Sink {
  public:
   explicit Sink(size_t cap) : cap_(cap) {}
@@ -82,8 +84,7 @@ class Sink {
   size_t found() const { return found_; }
   std::vector<Tagged>& kept() { return kept_; }
 
-  // Phase-local counters, summed into the report at the merge (sums are
-  // order-independent, so stats match at any thread count).
+  // Phase-local counters, summed into the report at the merge.
   size_t obligations_checked = 0;
   uint64_t chain_lookups = 0;
   uint64_t chain_events_scanned = 0;
@@ -98,35 +99,30 @@ class Sink {
   std::vector<Tagged> kept_;  // heap, top = latest in merge order
 };
 
-// Folds one phase's sinks into the report: counters are summed, kept
-// violations sorted back into single-threaded emission order (ordinal, then
-// per-ordinal emission sequence — no two sinks share an ordinal), and the
-// global cap applied across phases exactly as a sequential checker's
-// running AddViolation cap would. `extra_violations` accumulates found-but-
-// not-materialized counts; the caller folds it into `report->valid`.
-inline void MergePhaseInto(std::vector<Sink> sinks, size_t max_violations,
+// Folds one phase's sink into the report: counters are summed, kept
+// violations sorted back into emission order (ordinal, then per-ordinal
+// emission sequence), and the global cap applied across phases exactly as
+// a sequential checker's running AddViolation cap would. `extra_violations`
+// accumulates found-but-not-materialized counts; the caller folds it into
+// `report->valid`.
+inline void MergePhaseInto(Sink sink, size_t max_violations,
                            ExecutionReport* report,
                            size_t* extra_violations) {
-  std::vector<Tagged> all;
-  size_t found = 0;
-  for (Sink& s : sinks) {
-    found += s.found();
-    for (Tagged& t : s.kept()) all.push_back(std::move(t));
-    report->obligations_checked += s.obligations_checked;
-    report->stats.chain_lookups += s.chain_lookups;
-    report->stats.chain_events_scanned += s.chain_events_scanned;
-    report->stats.obligation_candidates += s.obligation_candidates;
-    report->stats.obligation_scans_avoided += s.obligation_scans_avoided;
-    report->stats.condition_instants += s.condition_instants;
-  }
-  std::sort(all.begin(), all.end(), TaggedEarlier());
+  report->obligations_checked += sink.obligations_checked;
+  report->stats.chain_lookups += sink.chain_lookups;
+  report->stats.chain_events_scanned += sink.chain_events_scanned;
+  report->stats.obligation_candidates += sink.obligation_candidates;
+  report->stats.obligation_scans_avoided += sink.obligation_scans_avoided;
+  report->stats.condition_instants += sink.condition_instants;
+  std::vector<Tagged>& kept = sink.kept();
+  std::sort(kept.begin(), kept.end(), TaggedEarlier());
   size_t materialized = 0;
-  for (Tagged& t : all) {
+  for (Tagged& t : kept) {
     if (report->violations.size() >= max_violations) break;
     report->violations.push_back(std::move(t.v));
     ++materialized;
   }
-  *extra_violations += found - materialized;
+  *extra_violations += sink.found() - materialized;
 }
 
 }  // namespace hcm::trace::internal

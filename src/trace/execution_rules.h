@@ -296,7 +296,7 @@ void ScanObligations(const RuleTables& tables, const rule::Event& e,
     counters->obligation_scans_avoided += rules.size();
     return;
   } else {
-    n = tables.index().LookupQuiet(e, scratch);
+    n = tables.index().Lookup(e, scratch);
     counters->obligation_scans_avoided += rules.size() - n;
   }
   counters->obligation_candidates += n;

@@ -1,12 +1,10 @@
 #include "src/trace/guarantee_checker.h"
 
 #include <algorithm>
-#include <atomic>
 #include <functional>
 #include <limits>
 #include <optional>
 #include <set>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -95,9 +93,6 @@ class CheckerImpl {
       const GuaranteeWindow* window = nullptr,
       std::vector<WindowedViolation>* violated_out = nullptr) {
     GuaranteeCheckResult result;
-    // The universal enumeration below is sequential and shares one context;
-    // the per-witness existential search may fan out over worker contexts.
-    EvalContext ctx;
     // Enumerate universal witnesses over the LHS.
     std::vector<Assignment> witnesses = {Assignment{}};
     for (const auto& atom : guarantee_.lhs_atoms) {
@@ -107,8 +102,7 @@ class CheckerImpl {
                        [&next](Assignment&& ext) {
                          next.push_back(std::move(ext));
                          return false;  // keep enumerating
-                       },
-                       ctx);
+                       });
         if (next.size() > options_.max_lhs_witnesses) {
           result.truncated = true;
           next.resize(options_.max_lhs_witnesses);
@@ -203,92 +197,35 @@ class CheckerImpl {
     for (const auto& w : witnesses) {
       if (seen.insert(&w).second) representative.push_back(&w);
     }
-    // Existential search per representative. Each witness's verdict is
-    // independent, so with num_threads > 1 the representatives are fanned
-    // over workers, each owning its own memo caches, and the verdicts are
-    // merged back in witness order — violation counts and counterexamples
-    // (capped only after the merge) are byte-identical at any thread count.
-    size_t threads = options_.use_reference_impl
-                         ? 1
-                         : std::max<size_t>(1, options_.num_threads);
-    threads = std::min(threads, std::max<size_t>(1, representative.size()));
-    std::vector<uint8_t> violated(representative.size(), 0);
-    if (threads <= 1) {
-      for (size_t i = 0; i < representative.size(); ++i) {
-        violated[i] = SatisfyRhs(0, *representative[i], ctx) ? 0 : 1;
-      }
-    } else {
-      // Warm the interner's lazily built sorted views: the workers' const
-      // timeline queries must never be the first to materialize them.
-      (void)timeline().items().SortedIds();
-      for (const auto& ref : all_refs_) {
-        (void)timeline().ItemIdsWithBase(ref.base);
-      }
-      std::vector<EvalContext> worker_ctx(threads);
-      std::atomic<size_t> next_index{0};
-      const size_t chunk =
-          std::max<size_t>(1, representative.size() / (threads * 8));
-      auto worker = [&](size_t wi) {
-        EvalContext& wctx = worker_ctx[wi];
-        for (;;) {
-          size_t begin = next_index.fetch_add(chunk);
-          if (begin >= representative.size()) break;
-          size_t end = std::min(begin + chunk, representative.size());
-          for (size_t i = begin; i < end; ++i) {
-            violated[i] = SatisfyRhs(0, *representative[i], wctx) ? 0 : 1;
-          }
-        }
-      };
-      std::vector<std::thread> pool;
-      pool.reserve(threads - 1);
-      for (size_t wi = 1; wi < threads; ++wi) pool.emplace_back(worker, wi);
-      worker(0);
-      for (auto& t : pool) t.join();
-      for (const EvalContext& wctx : worker_ctx) {
-        ctx.stats.sample_cache_hits += wctx.stats.sample_cache_hits;
-        ctx.stats.sample_cache_misses += wctx.stats.sample_cache_misses;
-        ctx.stats.match_cache_hits += wctx.stats.match_cache_hits;
-        ctx.stats.match_cache_misses += wctx.stats.match_cache_misses;
-        ctx.stats.atom_evals += wctx.stats.atom_evals;
-      }
-    }
-    for (size_t i = 0; i < representative.size(); ++i) {
-      if (!violated[i]) continue;
+    // Existential search per representative, in witness order; the
+    // counterexample cap keeps the first violations.
+    for (const Assignment* w : representative) {
+      if (SatisfyRhs(0, *w)) continue;
       ++result.violations;
       if (result.counterexamples.size() < options_.max_counterexamples) {
-        Counterexample ce;
-        ce.values = representative[i]->values;
-        ce.times = representative[i]->times;
-        result.counterexamples.push_back(std::move(ce));
+        result.counterexamples.push_back(Counterexample{w->values, w->times});
       }
       if (violated_out != nullptr && window != nullptr) {
         WindowedViolation wv;
         for (const auto& var : window->param_vars) {
-          auto it = representative[i]->values.find(var);
-          if (it != representative[i]->values.end()) {
+          auto it = w->values.find(var);
+          if (it != w->values.end()) {
             wv.param_binding.emplace_back(var, it->second);
           }
         }
-        auto at = representative[i]->times.find(window->anchor_var);
-        wv.anchor = at != representative[i]->times.end() ? at->second
-                                                        : TimePoint::Origin();
-        wv.ce.values = representative[i]->values;
-        wv.ce.times = representative[i]->times;
+        auto at = w->times.find(window->anchor_var);
+        wv.anchor = at != w->times.end() ? at->second : TimePoint::Origin();
+        wv.ce = Counterexample{w->values, w->times};
         violated_out->push_back(std::move(wv));
       }
     }
     result.holds = result.violations == 0;
-    ctx.stats.items = timeline().items().size();
-    result.stats = ctx.stats;
+    ctx_.stats.items = timeline().items().size();
+    result.stats = ctx_.stats;
     return result;
   }
 
  private:
-  // Per-strand memoization and counters; defined after the cache key types
-  // below. One per worker thread — the methods that take one never touch
-  // shared mutable state.
-  struct EvalContext;
-
   // An atom's sample instants (sorted, unique) plus the sorted change
   // points of the items it reads: the atom's predicate is constant between
   // consecutive change points.
@@ -398,9 +335,9 @@ class CheckerImpl {
   // shape as (item, binding-delta) pairs and replayed onto each concrete
   // binding. Reference mode re-unifies against every instance per call.
   std::vector<std::pair<uint32_t, Binding>> MatchingItems(
-      const ItemRef& ref, const Binding& binding, EvalContext& ctx) const {
+      const ItemRef& ref, const Binding& binding) {
     if (options_.use_reference_impl) {
-      ++ctx.stats.match_cache_misses;
+      ++ctx_.stats.match_cache_misses;
       std::vector<std::pair<uint32_t, Binding>> out;
       for (uint32_t id : timeline().ItemIdsWithBase(ref.base)) {
         Binding b = binding;
@@ -410,7 +347,7 @@ class CheckerImpl {
       }
       return out;
     }
-    const std::vector<CachedMatch>& cached = CachedMatches(ref, binding, ctx);
+    const std::vector<CachedMatch>& cached = CachedMatches(ref, binding);
     std::vector<std::pair<uint32_t, Binding>> out;
     out.reserve(cached.size());
     for (const CachedMatch& m : cached) {
@@ -423,8 +360,7 @@ class CheckerImpl {
 
   // The memoized matches of `ref` for the binding's shape (indexed path).
   const std::vector<CachedMatch>& CachedMatches(const ItemRef& ref,
-                                                const Binding& binding,
-                                                EvalContext& ctx) const {
+                                                const Binding& binding) {
     MatchKey key;
     key.ref = &ref;
     for (const auto& t : ref.args) {
@@ -434,12 +370,12 @@ class CheckerImpl {
                               ? std::optional<Value>()
                               : std::optional<Value>(bound->second));
     }
-    auto cached = ctx.match_cache.find(key);
-    if (cached != ctx.match_cache.end()) {
-      ++ctx.stats.match_cache_hits;
+    auto cached = ctx_.match_cache.find(key);
+    if (cached != ctx_.match_cache.end()) {
+      ++ctx_.stats.match_cache_hits;
       return cached->second;
     }
-    ++ctx.stats.match_cache_misses;
+    ++ctx_.stats.match_cache_misses;
     std::vector<CachedMatch> entry;
     for (uint32_t id : timeline().ItemIdsWithBase(ref.base)) {
       Binding b = binding;
@@ -451,7 +387,7 @@ class CheckerImpl {
       }
       entry.push_back(std::move(m));
     }
-    return ctx.match_cache.emplace(std::move(key), std::move(entry))
+    return ctx_.match_cache.emplace(std::move(key), std::move(entry))
         .first->second;
   }
 
@@ -504,28 +440,27 @@ class CheckerImpl {
   // (owned by the caller's frame, so a recursive search cannot clobber a
   // set still being iterated); the indexed path returns the memoized set.
   const SampleSet& SamplePoints(const std::vector<uint32_t>& items,
-                                bool existential, EvalContext& ctx,
-                                SampleSet* local) const {
+                                bool existential, SampleSet* local) {
     if (options_.use_reference_impl) {
-      ++ctx.stats.sample_cache_misses;
+      ++ctx_.stats.sample_cache_misses;
       *local = ComputeSamplePoints(items, existential);
       return *local;
     }
     // Memoized: the same item sets recur for every candidate assignment.
     // The key is the interned id list (plus the quantifier flag) — no
     // string building, and no allocation at all on a hit.
-    ctx.sample_key_scratch.clear();
-    ctx.sample_key_scratch.push_back(existential ? 1u : 0u);
-    ctx.sample_key_scratch.insert(ctx.sample_key_scratch.end(), items.begin(),
+    ctx_.sample_key_scratch.clear();
+    ctx_.sample_key_scratch.push_back(existential ? 1u : 0u);
+    ctx_.sample_key_scratch.insert(ctx_.sample_key_scratch.end(), items.begin(),
                                   items.end());
-    auto it = ctx.sample_cache.find(ctx.sample_key_scratch);
-    if (it != ctx.sample_cache.end()) {
-      ++ctx.stats.sample_cache_hits;
+    auto it = ctx_.sample_cache.find(ctx_.sample_key_scratch);
+    if (it != ctx_.sample_cache.end()) {
+      ++ctx_.stats.sample_cache_hits;
       return it->second;
     }
-    ++ctx.stats.sample_cache_misses;
-    return ctx.sample_cache
-        .emplace(ctx.sample_key_scratch,
+    ++ctx_.stats.sample_cache_misses;
+    return ctx_.sample_cache
+        .emplace(ctx_.sample_key_scratch,
                  ComputeSamplePoints(items, existential))
         .first->second;
   }
@@ -534,8 +469,7 @@ class CheckerImpl {
   // are enumerated from the trace. When the atom mentions no items at all
   // (e.g. "(true)@t"), every guarantee item is relevant.
   std::vector<uint32_t> AtomItems(const GuaranteeAtom& atom,
-                                  const Binding& binding,
-                                  EvalContext& ctx) const {
+                                  const Binding& binding) {
     const std::vector<ItemRef>* refs = nullptr;
     std::vector<ItemRef> collected;
     if (options_.use_reference_impl) {
@@ -552,13 +486,13 @@ class CheckerImpl {
     std::vector<uint32_t> out;
     for (const auto& ref : *refs) {
       if (options_.use_reference_impl) {
-        for (const auto& [item, b] : MatchingItems(ref, binding, ctx)) {
+        for (const auto& [item, b] : MatchingItems(ref, binding)) {
           out.push_back(item);
           (void)b;
         }
         continue;
       }
-      for (const CachedMatch& m : CachedMatches(ref, binding, ctx)) {
+      for (const CachedMatch& m : CachedMatches(ref, binding)) {
         out.push_back(m.item);
       }
     }
@@ -668,8 +602,7 @@ class CheckerImpl {
   // typically resolves on the first probe. Returns true when the sink
   // stopped the search.
   bool SearchAt(const GuaranteeAtom& atom, const Assignment& base,
-                const SampleSet& samples, const Sink& sink,
-                EvalContext& ctx) const {
+                const SampleSet& samples, const Sink& sink) {
     SearchBounds b = BoundsFor(atom, atom.at, base);
     const std::vector<TimePoint>& pts = samples.points;
     const std::vector<TimePoint>& changes = samples.changes;
@@ -677,7 +610,7 @@ class CheckerImpl {
     auto last = std::upper_bound(first, pts.end(), b.hi);
     auto probe = [&](TimePoint t) {
       Assignment next = base;
-      if (!PredTrueAt(atom, t, &next.values, ctx)) return false;
+      if (!PredTrueAt(atom, t, &next.values)) return false;
       next.times[atom.at.var] = t - atom.at.offset;
       return sink(std::move(next));
     };
@@ -748,9 +681,8 @@ class CheckerImpl {
 
   // Truth of the atom's predicate at one instant, with equality-solving.
   // Eval errors (nonexistent item, unbound variable) count as false.
-  bool PredTrueAt(const GuaranteeAtom& atom, TimePoint t, Binding* binding,
-                  EvalContext& ctx) const {
-    ++ctx.stats.atom_evals;
+  bool PredTrueAt(const GuaranteeAtom& atom, TimePoint t, Binding* binding) {
+    ++ctx_.stats.atom_evals;
     if (atom.exists_item.has_value()) {
       auto grounded = atom.exists_item->Ground(*binding);
       if (!grounded.ok()) return false;
@@ -768,17 +700,16 @@ class CheckerImpl {
   // `existential` selects RHS semantics (pre-origin instants allowed).
   // Returns true when the sink stopped the enumeration.
   bool ExtendWithAtom(const GuaranteeAtom& atom, const Assignment& a,
-                      bool existential, const Sink& sink,
-                      EvalContext& ctx) const {
+                      bool existential, const Sink& sink) {
     // Enumerate item-parameter bindings first (e.g. the i in project(i)).
     // When every parameter is already bound, a's binding is the only one.
     if (!options_.use_reference_impl && ParamsBound(atom, a.values)) {
-      return ExtendBound(atom, a, existential, sink, ctx);
+      return ExtendBound(atom, a, existential, sink);
     }
-    for (const Binding& pb : ParamBindings(atom, a.values, ctx)) {
+    for (const Binding& pb : ParamBindings(atom, a.values)) {
       Assignment base = a;
       base.values = pb;
-      if (ExtendBound(atom, base, existential, sink, ctx)) return true;
+      if (ExtendBound(atom, base, existential, sink)) return true;
     }
     return false;
   }
@@ -786,14 +717,13 @@ class CheckerImpl {
   // ExtendWithAtom for one item-parameter binding (parameters with no
   // matching instance stay unbound; the predicate then reads as false).
   bool ExtendBound(const GuaranteeAtom& atom, const Assignment& base,
-                   bool existential, const Sink& sink,
-                   EvalContext& ctx) const {
+                   bool existential, const Sink& sink) {
     switch (atom.mode) {
       case AtomMode::kAt: {
         auto fixed = GroundTime(atom.at, base);
         if (fixed.has_value()) {
           Assignment next = base;
-          if (PredTrueAt(atom, *fixed, &next.values, ctx) &&
+          if (PredTrueAt(atom, *fixed, &next.values) &&
               sink(std::move(next))) {
             return true;
           }
@@ -803,14 +733,14 @@ class CheckerImpl {
         // var = sample - offset.
         SampleSet local;
         const SampleSet& samples = SamplePoints(
-            AtomItems(atom, base.values, ctx), existential, ctx, &local);
+            AtomItems(atom, base.values), existential, &local);
         if (existential && !options_.use_reference_impl) {
-          if (SearchAt(atom, base, samples, sink, ctx)) return true;
+          if (SearchAt(atom, base, samples, sink)) return true;
           break;
         }
         for (TimePoint t : samples.points) {
           Assignment next = base;
-          if (!PredTrueAt(atom, t, &next.values, ctx)) continue;
+          if (!PredTrueAt(atom, t, &next.values)) continue;
           next.times[atom.at.var] = t - atom.at.offset;
           if (sink(std::move(next))) return true;
         }
@@ -827,7 +757,7 @@ class CheckerImpl {
             base.times.count(atom.lo.var) == 0) {
           SampleSet local;
           const SampleSet& samples = SamplePoints(
-              AtomItems(atom, base.values, ctx), existential, ctx, &local);
+              AtomItems(atom, base.values), existential, &local);
           auto first = samples.points.begin();
           auto last = samples.points.end();
           if (existential && !options_.use_reference_impl) {
@@ -839,7 +769,7 @@ class CheckerImpl {
             TimePoint t = *it;
             Assignment enumerated = base;
             enumerated.times[atom.lo.var] = t - atom.lo.offset;
-            if (ExtendWithAtom(atom, enumerated, existential, sink, ctx)) {
+            if (ExtendWithAtom(atom, enumerated, existential, sink)) {
               return true;
             }
           }
@@ -859,8 +789,7 @@ class CheckerImpl {
         points.push_back(*hi);
         SampleSet local;
         const std::vector<TimePoint>& samples =
-            SamplePoints(AtomItems(atom, base.values, ctx), existential,
-                         ctx, &local)
+            SamplePoints(AtomItems(atom, base.values), existential, &local)
                 .points;
         // The sorted samples strictly inside (lo, hi).
         auto inside = std::upper_bound(samples.begin(), samples.end(), *lo);
@@ -870,7 +799,7 @@ class CheckerImpl {
         bool any = false;
         Assignment next = base;
         for (TimePoint t : points) {
-          if (PredTrueAt(atom, t, &next.values, ctx)) {
+          if (PredTrueAt(atom, t, &next.values)) {
             any = true;
           } else {
             all = false;
@@ -905,8 +834,7 @@ class CheckerImpl {
   // enumerated from the trace's item instances. Returns at least the input
   // binding when the atom's refs are ground or have no instances.
   std::vector<Binding> ParamBindings(const GuaranteeAtom& atom,
-                                     const Binding& binding,
-                                     EvalContext& ctx) const {
+                                     const Binding& binding) {
     const std::vector<ItemRef>* refs = nullptr;
     std::vector<ItemRef> collected;
     if (options_.use_reference_impl) {
@@ -933,7 +861,7 @@ class CheckerImpl {
           next.push_back(b);
           continue;
         }
-        auto matches = MatchingItems(ref, b, ctx);
+        auto matches = MatchingItems(ref, b);
         if (matches.empty()) {
           // No instance: keep the binding; the predicate will read as
           // false later.
@@ -954,7 +882,7 @@ class CheckerImpl {
   }
 
   // Depth-first existential search over the RHS atoms.
-  bool SatisfyRhs(size_t index, const Assignment& a, EvalContext& ctx) const {
+  bool SatisfyRhs(size_t index, const Assignment& a) {
     if (!SatisfiesConstraints(guarantee_.rhs_time, a, /*partial_ok=*/true)) {
       return false;
     }
@@ -965,10 +893,9 @@ class CheckerImpl {
     // Lazy depth-first search: stop at the first satisfying extension.
     return ExtendWithAtom(guarantee_.rhs_atoms[index], a,
                           /*existential=*/true,
-                          [this, index, &ctx](Assignment&& next) {
-                            return SatisfyRhs(index + 1, next, ctx);
-                          },
-                          ctx);
+                          [this, index](Assignment&& next) {
+                            return SatisfyRhs(index + 1, next);
+                          });
   }
 
   // (ref identity, values bound to the ref's variable args) — everything
@@ -997,9 +924,8 @@ class CheckerImpl {
     }
   };
 
-  // All memoization and work counters of one evaluation strand. Run() owns
-  // one for the sequential universal phase; each existential-search worker
-  // owns its own, so the threads share only the read-only checker state.
+  // The run's memo caches and work counters, shared by the universal
+  // enumeration and every witness's existential search.
   struct EvalContext {
     std::unordered_map<std::vector<uint32_t>, SampleSet, SampleKeyHash>
         sample_cache;
@@ -1021,6 +947,7 @@ class CheckerImpl {
   // map, vectors never resized after construction).
   std::unordered_map<const GuaranteeAtom*, std::vector<ItemRef>> atom_refs_;
   std::vector<TimePoint> universal_extra_points_;
+  EvalContext ctx_;
 };
 
 }  // namespace

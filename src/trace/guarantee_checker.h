@@ -27,12 +27,6 @@ struct GuaranteeCheckOptions {
   // pre-index reference semantics). The equivalence suites assert both
   // paths produce identical results.
   bool use_reference_impl = false;
-  // Worker threads for the per-witness existential search (the dominant
-  // cost on large traces). Each worker owns its own memo caches; violations
-  // and counterexamples are merged in witness order, so reports are
-  // byte-identical at any thread count. Reference mode runs single-threaded
-  // regardless. 0 behaves as 1.
-  size_t num_threads = 1;
 };
 
 // Work counters for one CheckGuarantee run (dispatch-stats-style). Not part
@@ -82,6 +76,10 @@ struct GuaranteeCheckResult {
 // `@@[a,b]` checks every change point in the interval;
 // `@in[a,b]` any; an empty interval (a > b) is vacuously true for `@@` and
 // false for `@in`.
+//
+// The check runs on the calling thread with one set of memo caches: the
+// universal enumeration and every witness's existential search share them,
+// and counterexamples come out in witness order.
 //
 // Returns an error only for structurally unusable guarantees (e.g. a time
 // expression that can never be resolved); an unsatisfied guarantee is a

@@ -652,7 +652,6 @@ struct StreamingChecker::Impl {
   void RunRegion(GState* gs, const StateTimeline& snap, TimePoint lo,
                  std::optional<TimePoint> hi, TimePoint region_horizon) {
     GuaranteeCheckOptions opts = options.guarantee;
-    opts.num_threads = 1;
     opts.use_reference_impl = false;
     GuaranteeWindow win;
     win.anchor_var = gs->anchor;
@@ -796,7 +795,7 @@ struct StreamingChecker::Impl {
     // Assemble the report through the shared merge, in offline phase order.
     report.events_checked = seen;
     for (Sink* phase : {&sink_p1, &sink_p2, &sink_p45, &sink_p6, &sink_p7}) {
-      internal::MergePhaseInto({std::move(*phase)},
+      internal::MergePhaseInto(std::move(*phase),
                                options.valid.max_violations, &report,
                                &extra_violations);
     }
@@ -835,7 +834,6 @@ struct StreamingChecker::Impl {
       // byte-identical to the offline checker. Structural errors leave no
       // entry — callers validate guarantee specs offline.
       GuaranteeCheckOptions opts = options.guarantee;
-      opts.num_threads = 1;
       opts.use_reference_impl = false;
       auto r = CheckGuaranteeOverTimeline(snap, horizon, *gs.g, opts, nullptr,
                                           nullptr);

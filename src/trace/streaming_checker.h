@@ -11,9 +11,10 @@
 // prefix per flush — detached at a superstep barrier, delivered while the
 // lanes run the next superstep), watermarks tell it which instants are
 // complete, and
-// OnFinish triggers the same phase-ordered report assembly the offline
-// checker performs — through the shared bounded-sink/ordered-merge core in
-// check_window.h, so capping semantics agree exactly. Both checkers decide
+// OnFinish assembles the report exactly as the offline checker does: one
+// sink per phase, merged in phase order through the shared
+// bounded-sink/ordered-merge core in check_window.h, so capping semantics
+// agree exactly. Both checkers decide
 // each property through the one set of rules in execution_rules.h; this
 // class only decides when each check can run on the live state.
 //
@@ -64,11 +65,11 @@
 namespace hcm::trace {
 
 struct StreamingCheckOptions {
-  // Valid-execution options. num_threads and use_reference_impl are
-  // ignored (the streaming engine is sequential on the feed thread);
-  // outages seed the outage list (NoteOutage adds more).
+  // Valid-execution options. use_reference_impl is ignored (the streaming
+  // engine has no reference scan); outages seed the outage list
+  // (NoteOutage adds more).
   ValidExecutionOptions valid;
-  // Guarantee options. num_threads/use_reference_impl likewise ignored.
+  // Guarantee options. use_reference_impl is likewise ignored.
   GuaranteeCheckOptions guarantee;
   // Live notification for each valid-execution violation as it is found
   // (best-effort preview: the merged final report applies the global cap

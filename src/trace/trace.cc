@@ -235,15 +235,6 @@ std::optional<Value> StateTimeline::ValueBefore(const rule::ItemId& item,
   return ValueBefore(interner_.Find(item), t);
 }
 
-std::vector<rule::ItemId> StateTimeline::ItemsWithBase(
-    const std::string& base) const {
-  std::vector<rule::ItemId> out;
-  const auto& ids = interner_.IdsWithBase(base);
-  out.reserve(ids.size());
-  for (uint32_t id : ids) out.push_back(interner_.item(id));
-  return out;
-}
-
 std::vector<rule::ItemId> StateTimeline::AllItems() const {
   std::vector<rule::ItemId> out;
   out.reserve(interner_.size());

@@ -248,12 +248,11 @@ class StateTimeline {
   SegmentSpan SegmentsOf(const rule::ItemId& item) const;
   SegmentSpan SegmentsOf(uint32_t id) const;
 
-  // All item instances with the given base name (in ItemId order). The
-  // id-returning overload is O(1); the materializing one copies.
+  // Interned ids of all item instances with the given base name (in ItemId
+  // order).
   const std::vector<uint32_t>& ItemIdsWithBase(const std::string& base) const {
     return interner_.IdsWithBase(base);
   }
-  std::vector<rule::ItemId> ItemsWithBase(const std::string& base) const;
 
   // All items known to the timeline (in ItemId order).
   std::vector<rule::ItemId> AllItems() const;

@@ -1,9 +1,7 @@
 #include "src/trace/valid_execution.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
 #include "src/common/string_util.h"
@@ -60,7 +58,7 @@ namespace {
 // The ordinal-tagged bounded sink and ordered phase merge live in
 // check_window.h and the property rules in execution_rules.h, both shared
 // with the streaming checker; this file is only the offline driver: indexes
-// over the whole trace and the passes that fan them out over threads.
+// over the whole trace and one pass per phase, each writing one sink.
 using internal::Sink;
 
 // Emits into `sink` at trace ordinal `ord`, in call order.
@@ -101,14 +99,11 @@ class Checker {
 
   ExecutionReport Run() {
     report_.events_checked = trace_.events.size();
-    size_t threads = options_.use_reference_impl
-                         ? 1
-                         : std::max<size_t>(1, options_.num_threads);
-    RunSequential([this](Sink* sink) { CheckOrdering(sink); });
-    MergePhase(RunWriteConsistency(threads));
-    MergePhase(RunProvenance(threads));
-    MergePhase(RunObligations(threads));
-    RunSequential([this](Sink* sink) { CheckInOrderProcessing(sink); });
+    RunPhase([this](Sink* sink) { CheckOrdering(sink); });
+    RunPhase([this](Sink* sink) { CheckWriteConsistency(sink); });
+    RunPhase([this](Sink* sink) { CheckProvenance(sink); });
+    RunPhase([this](Sink* sink) { CheckObligations(sink); });
+    RunPhase([this](Sink* sink) { CheckInOrderProcessing(sink); });
     report_.valid = report_.violations.empty() && extra_violations_ == 0;
     report_.stats.items_indexed = timeline_.items().size();
     return std::move(report_);
@@ -165,49 +160,13 @@ class Checker {
     }
   }
 
-  // Runs a sequential phase through the same sink/merge machinery the
-  // parallel phases use, so capping and ordering semantics are uniform.
+  // Runs one phase into a fresh sink and merges it into the report, so the
+  // per-phase cap and ordering match the streaming driver's.
   template <typename Phase>
-  void RunSequential(const Phase& phase) {
-    std::vector<Sink> sinks;
-    sinks.emplace_back(options_.max_violations);
-    phase(&sinks[0]);
-    MergePhase(std::move(sinks));
-  }
-
-  // Dynamic fan-out of `num_units` work units over `threads` workers, one
-  // sink per worker. body(unit, sink) must touch only its own unit's state.
-  template <typename Body>
-  std::vector<Sink> RunUnits(size_t threads, size_t num_units,
-                             const Body& body) {
-    threads = std::min(threads, std::max<size_t>(1, num_units));
-    std::vector<Sink> sinks;
-    sinks.reserve(threads);
-    for (size_t i = 0; i < threads; ++i) {
-      sinks.emplace_back(options_.max_violations);
-    }
-    if (threads <= 1) {
-      for (size_t u = 0; u < num_units; ++u) body(u, &sinks[0]);
-      return sinks;
-    }
-    std::atomic<size_t> next{0};
-    auto worker = [&](Sink* sink) {
-      for (;;) {
-        size_t u = next.fetch_add(1, std::memory_order_relaxed);
-        if (u >= num_units) return;
-        body(u, sink);
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(threads - 1);
-    for (size_t i = 1; i < threads; ++i) pool.emplace_back(worker, &sinks[i]);
-    worker(&sinks[0]);
-    for (auto& t : pool) t.join();
-    return sinks;
-  }
-
-  void MergePhase(std::vector<Sink> sinks) {
-    internal::MergePhaseInto(std::move(sinks), options_.max_violations,
+  void RunPhase(const Phase& phase) {
+    Sink sink(options_.max_violations);
+    phase(&sink);
+    internal::MergePhaseInto(std::move(sink), options_.max_violations,
                              &report_, &extra_violations_);
   }
 
@@ -264,20 +223,17 @@ class Checker {
     return false;
   }
 
-  // Properties 2+3. Indexed path: one work unit per interned item id — an
-  // item's writes are independent of every other item's, and its sorted
-  // write run plus a private SegmentCursor give amortized-O(1) prior-state
-  // lookups. Reference path: the whole-trace scan as one unit.
-  std::vector<Sink> RunWriteConsistency(size_t threads) {
+  // Properties 2+3. Indexed path: item by item — an item's sorted write
+  // run plus a SegmentCursor give amortized-O(1) prior-state lookups.
+  // Reference path: the whole-trace scan.
+  void CheckWriteConsistency(Sink* sink) const {
     if (options_.use_reference_impl) {
-      return RunUnits(1, 1, [this](size_t, Sink* sink) {
-        WriteConsistencyReference(sink);
-      });
+      WriteConsistencyReference(sink);
+      return;
     }
-    return RunUnits(threads, timeline_.items().size(),
-                    [this](size_t id, Sink* sink) {
-                      WriteConsistencyForItem(static_cast<uint32_t>(id), sink);
-                    });
+    for (uint32_t id = 0; id < timeline_.items().size(); ++id) {
+      WriteConsistencyForItem(id, sink);
+    }
   }
 
   void WriteConsistencyForItem(uint32_t id, Sink* sink) const {
@@ -308,56 +264,30 @@ class Checker {
         EmitAt(sink, event_index));
   }
 
-  // Properties 4+5. Each event's provenance is checked against read-only
-  // shared state (event table, rule tables, the timeline), so the trace
-  // fans out over contiguous event ranges.
-  std::vector<Sink> RunProvenance(size_t threads) {
-    size_t n = trace_.events.size();
-    size_t num_chunks = ChunkCount(threads, n);
-    return RunUnits(threads, num_chunks,
-                    [this, n, num_chunks](size_t chunk, Sink* sink) {
-                      size_t lo = chunk * n / num_chunks;
-                      size_t hi = (chunk + 1) * n / num_chunks;
-                      for (size_t i = lo; i < hi; ++i) {
-                        const rule::Event& e = trace_.events[i];
-                        internal::CheckProvenance(
-                            tables_, e, EventById(e.trigger_event_id), *this,
-                            EmitAt(sink, i));
-                      }
-                    });
-  }
-
-  // More chunks than workers so dynamic scheduling balances skew; one chunk
-  // when running inline.
-  static size_t ChunkCount(size_t threads, size_t num_units) {
-    if (threads <= 1 || num_units == 0) return num_units == 0 ? 0 : 1;
-    return std::min(num_units, threads * 4);
+  // Properties 4+5: each event's provenance against the event table, the
+  // rule tables and the timeline.
+  void CheckProvenance(Sink* sink) const {
+    for (size_t i = 0; i < trace_.events.size(); ++i) {
+      const rule::Event& e = trace_.events[i];
+      internal::CheckProvenance(tables_, e, EventById(e.trigger_event_id),
+                                *this, EmitAt(sink, i));
+    }
   }
 
   // Property 6: firing obligations. Rules a given event could trigger come
   // from the (kind, item base) rule index — the same pruning the live
   // dispatcher uses — instead of re-unifying every rule against every event.
-  // The fired-event index is built once up front; the per-event obligation
-  // checks then share only read-only state (workers use the index's quiet
-  // lookup so no dispatch counters race) and fan out over event ranges.
-  std::vector<Sink> RunObligations(size_t threads) {
+  void CheckObligations(Sink* sink) {
     fired_.reserve(trace_.events.size());
     for (const auto& e : trace_.events) {
       if (!e.spontaneous()) {
         fired_[{e.trigger_event_id, e.rule_id, e.rhs_step}] = &e;
       }
     }
-    size_t n = trace_.events.size();
-    size_t num_chunks = ChunkCount(threads, n);
-    return RunUnits(threads, num_chunks,
-                    [this, n, num_chunks](size_t chunk, Sink* sink) {
-                      std::vector<size_t> candidates;
-                      size_t lo = chunk * n / num_chunks;
-                      size_t hi = (chunk + 1) * n / num_chunks;
-                      for (size_t i = lo; i < hi; ++i) {
-                        ObligationsForEvent(i, sink, &candidates);
-                      }
-                    });
+    std::vector<size_t> candidates;
+    for (size_t i = 0; i < trace_.events.size(); ++i) {
+      ObligationsForEvent(i, sink, &candidates);
+    }
   }
 
   void ObligationsForEvent(size_t i, Sink* sink,
@@ -439,8 +369,7 @@ class Checker {
   std::vector<std::vector<uint32_t>> writes_by_item_;
   // Item base -> home site, for outage coverage (learned only with outages).
   internal::SiteOfBase sites_;
-  // Generated events by (trigger, rule, step); built sequentially in
-  // RunObligations before the fan-out, read-only inside the workers.
+  // Generated events by (trigger, rule, step); built by CheckObligations.
   std::unordered_map<internal::FiredKey, const rule::Event*,
                      internal::FiredKeyHash>
       fired_;

@@ -67,16 +67,9 @@ struct ValidExecutionOptions {
   std::vector<SiteOutage> outages;
   // Cap on reported violations (the rest are counted but not materialized).
   size_t max_violations = 50;
-  // Worker threads for the property checks. The write-consistency pass fans
-  // out per interned item id and the provenance/obligation passes over
-  // event ranges; per-worker results carry their source event ordinal, so
-  // the merged report (violations, counters, caps) is byte-identical to a
-  // single-threaded run at any thread count. 0 and 1 both run inline.
-  size_t num_threads = 1;
   // Test-only: disable the per-item event indexes and the rule-dispatch
-  // index, falling back to the whole-trace-scan reference implementation
-  // (also forces single-threaded checking). The equivalence suite asserts
-  // both paths produce identical reports.
+  // index, falling back to the whole-trace-scan reference implementation.
+  // The equivalence suite asserts both paths produce identical reports.
   bool use_reference_impl = false;
 };
 
@@ -101,7 +94,9 @@ struct ValidExecutionOptions {
 // Scales to million-event traces: one index-building forward pass feeds
 // per-item sorted write runs (same-instant chains), an id-keyed event map
 // (provenance) and a (kind, item base) rule index (obligations), so no
-// property check ever rescans the whole trace per event.
+// property check ever rescans the whole trace per event. The check runs on
+// the calling thread, one pass per property group, each writing one
+// violation sink (check_window.h) — the streaming checker's shape.
 ExecutionReport CheckValidExecution(const Trace& trace,
                                     const std::vector<rule::Rule>& rules,
                                     const ValidExecutionOptions& options = {});

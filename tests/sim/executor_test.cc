@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <vector>
 
 namespace hcm::sim {
@@ -122,28 +121,6 @@ TEST(ExecutorTest, NestedSchedulingDuringRunUntil) {
   });
   ex.RunUntil(TimePoint::FromMillis(20));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(ExecutorTest, RunRealtimePacesAgainstWallClock) {
-  Executor ex;
-  std::vector<TimePoint> fired;
-  for (int i = 1; i <= 3; ++i) {
-    ex.ScheduleAt(TimePoint::FromMillis(i * 1000), [&ex, &fired] {
-      fired.push_back(ex.now());
-    });
-  }
-  auto wall_start = std::chrono::steady_clock::now();
-  // 3s of virtual time at 100x => ~30ms wall.
-  size_t steps = ex.RunRealtimeFor(Duration::Seconds(3), 100.0);
-  auto wall_ms = std::chrono::duration<double, std::milli>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count();
-  EXPECT_EQ(steps, 3u);
-  ASSERT_EQ(fired.size(), 3u);
-  EXPECT_EQ(fired[2], TimePoint::FromMillis(3000));
-  EXPECT_GE(wall_ms, 25.0);   // actually paced
-  EXPECT_LT(wall_ms, 2000.0);  // but scaled, not real-real-time
-  EXPECT_EQ(ex.now(), TimePoint::FromMillis(3000));
 }
 
 TEST(DurationTest, ArithmeticAndFormatting) {

@@ -91,10 +91,7 @@ RunReport RunPayroll(size_t threads, bool use_reference_impl, uint64_t seed) {
   report.dispatch_stats = system.DescribeDispatchStats();
   trace::Trace t = system.FinishTrace();
   report.trace_bytes = trace::SerializeTrace(t);
-  trace::ValidExecutionOptions vopts;
-  vopts.num_threads = threads;
-  report.execution_report =
-      trace::CheckValidExecution(t, rules, vopts).ToString();
+  report.execution_report = trace::CheckValidExecution(t, rules).ToString();
   trace::GuaranteeCheckOptions opts;
   opts.settle_margin = Duration::Minutes(1);
   for (auto make : {spec::YFollowsX, spec::XLeadsY}) {
@@ -208,10 +205,7 @@ RunReport RunStanford(size_t threads, bool use_reference_impl, uint64_t seed) {
   report.dispatch_stats = system.DescribeDispatchStats();
   trace::Trace t = system.FinishTrace();
   report.trace_bytes = trace::SerializeTrace(t);
-  trace::ValidExecutionOptions vopts;
-  vopts.num_threads = threads;
-  report.execution_report =
-      trace::CheckValidExecution(t, rules, vopts).ToString();
+  report.execution_report = trace::CheckValidExecution(t, rules).ToString();
   trace::GuaranteeCheckOptions check;
   check.settle_margin = Duration::Minutes(1);
   for (const char* copy : {"CsdPhone(n)", "GroupPhone(n)"}) {

@@ -135,12 +135,11 @@ spec::Guarantee WindowLowerBound() {
                "(src(n) = v)@t1 => (dst(n) = v)@in[t2, t2 + 400ms] & t1 < t2");
 }
 
-GuaranteeCheckOptions Options(bool reference, size_t threads) {
+GuaranteeCheckOptions Options(bool reference) {
   GuaranteeCheckOptions o;
   o.settle_margin = Duration::Millis(1500);
   o.max_counterexamples = 1000;
   o.use_reference_impl = reference;
-  o.num_threads = threads;
   return o;
 }
 
@@ -162,7 +161,7 @@ class BoundedSearchTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(BoundedSearchTest, CleanTraceMatchesReference) {
   Trace t = Generate(GetParam(), 30, /*corrupt=*/false);
   for (const auto& g : Guarantees()) {
-    ExpectIdentical(t, g, Options(false, 1), Options(true, 1));
+    ExpectIdentical(t, g, Options(false), Options(true));
   }
 }
 
@@ -170,7 +169,7 @@ TEST_P(BoundedSearchTest, CorruptedTraceMatchesReference) {
   Trace t = Generate(GetParam(), 30, /*corrupt=*/true);
   int violated = 0;
   for (const auto& g : Guarantees()) {
-    if (!ExpectIdentical(t, g, Options(false, 1), Options(true, 1))) {
+    if (!ExpectIdentical(t, g, Options(false), Options(true))) {
       ++violated;
     }
   }
@@ -182,18 +181,7 @@ TEST_P(BoundedSearchTest, CorruptedTraceMatchesReference) {
 TEST_P(BoundedSearchTest, WindowLowerBoundMatchesReference) {
   for (bool corrupt : {false, true}) {
     Trace t = Generate(GetParam(), 10, corrupt);
-    ExpectIdentical(t, WindowLowerBound(), Options(false, 1), Options(true, 1));
-  }
-}
-
-// Worker threads split the representatives; each bounded search is
-// independent of the others, so the merged report cannot change.
-TEST_P(BoundedSearchTest, ParallelMatchesSequential) {
-  Trace t = Generate(GetParam(), 30, /*corrupt=*/true);
-  std::vector<spec::Guarantee> all = Guarantees();
-  all.push_back(WindowLowerBound());
-  for (const auto& g : all) {
-    ExpectIdentical(t, g, Options(false, 4), Options(false, 1));
+    ExpectIdentical(t, WindowLowerBound(), Options(false), Options(true));
   }
 }
 
@@ -219,7 +207,7 @@ TEST(BoundedSearchEscapeTest, VariableReadLaterVisitsEveryInstant) {
   spec::Guarantee g = Parse(
       "gap", "(Y = v)@t1 & 2s <= t1 => (X = v)@t2 & (Y = v)@t3 & "
              "t2 + 400ms <= t3 & t3 < t2 + 600ms & t3 <= t1");
-  EXPECT_TRUE(ExpectIdentical(t, g, Options(false, 1), Options(true, 1)));
+  EXPECT_TRUE(ExpectIdentical(t, g, Options(false), Options(true)));
 }
 
 // The bounded search is what makes propagation guarantees cheap: a holding

@@ -136,8 +136,13 @@ TEST(TimelineBaseQueryTest, ItemsWithBase) {
   rec.Record(Write(TimePoint::FromMillis(3), "S", ItemId{"other", {}},
                    Value::Int(0)));
   StateTimeline tl = StateTimeline::Build(rec.Finish(TimePoint::FromMillis(9)));
-  EXPECT_EQ(tl.ItemsWithBase("salary1").size(), 2u);
-  EXPECT_EQ(tl.ItemsWithBase("nothing").size(), 0u);
+  const std::vector<uint32_t>& salaries = tl.ItemIdsWithBase("salary1");
+  ASSERT_EQ(salaries.size(), 2u);
+  EXPECT_EQ(tl.items().item(salaries[0]),
+            (ItemId{"salary1", {Value::Int(1)}}));
+  EXPECT_EQ(tl.items().item(salaries[1]),
+            (ItemId{"salary1", {Value::Int(2)}}));
+  EXPECT_TRUE(tl.ItemIdsWithBase("nothing").empty());
   EXPECT_EQ(tl.AllItems().size(), 3u);
 }
 
@@ -151,6 +156,18 @@ TEST(TraceToStringTest, TruncatesLongTraces) {
   std::string s = t.ToString(3);
   EXPECT_NE(s.find("10 events"), std::string::npos);
   EXPECT_NE(s.find("(7 more)"), std::string::npos);
+}
+
+// Finish moves the trace out; calling it again would silently hand back an
+// empty trace that sails through every check, so the recorder aborts
+// instead.
+TEST(TraceRecorderDeathTest, DoubleFinishAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  TraceRecorder rec;
+  rec.SetInitialValue(ItemId{"x", {}}, Value::Int(0));
+  (void)rec.Finish(TimePoint::FromMillis(1000));
+  EXPECT_DEATH((void)rec.Finish(TimePoint::FromMillis(2000)),
+               "Finish called twice");
 }
 
 }  // namespace

@@ -334,6 +334,36 @@ TEST_F(ValidExecutionTest, ViolationCapRespected) {
   }
 }
 
+// Violations on one trigger event share its ordinal, so only their
+// per-event emission sequence orders them: one notify triggers two rules
+// and neither fires. Both reports list the two in rule order, and a cap of
+// one keeps the first rule's.
+TEST_F(ValidExecutionTest, Property6TiesKeepRuleOrderUnderCap) {
+  auto second = rule::ParseRule("N(X, b) -> 5s WR(Z, b)");
+  ASSERT_TRUE(second.ok());
+  second->id = 2;
+  std::vector<rule::Rule> rules = {rule_, *second};
+  rec_.Record(Notify(100, 7));
+  Trace t = rec_.Finish(TimePoint::FromMillis(60000));
+  for (const auto& [driver, report] : CheckBoth(t, rules)) {
+    SCOPED_TRACE(driver);
+    ASSERT_EQ(report.violations.size(), 2u) << report.ToString();
+    EXPECT_NE(report.violations[0].message.find("WR(Y"), std::string::npos)
+        << report.ToString();
+    EXPECT_NE(report.violations[1].message.find("WR(Z"), std::string::npos)
+        << report.ToString();
+  }
+  ValidExecutionOptions capped;
+  capped.max_violations = 1;
+  for (const auto& [driver, report] : CheckBoth(t, rules, capped)) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(report.valid);
+    ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+    EXPECT_NE(report.violations[0].message.find("WR(Y"), std::string::npos)
+        << report.ToString();
+  }
+}
+
 TEST_F(ValidExecutionTest, Property5RhsConditionFalseBeforeEvent) {
   // The step forwards only when the cache differs, but it fired although
   // CachedX already held the notified value.
