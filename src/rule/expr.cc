@@ -170,10 +170,13 @@ struct FrameEnv {
   }
   Result<Value> Item(const ItemRef& ref) const {
     // Ground the ref without touching its (possibly shared) terms'
-    // compiled state: resolve variables by name through the slot map.
-    ItemId id;
+    // compiled state: resolve variables by name through the slot map. The
+    // grounded id reuses one per-thread buffer, so a read allocates nothing
+    // once warm; it is live only for the reader call, and readers evaluate
+    // no expressions.
+    thread_local ItemId id;
     id.base = ref.base;
-    id.args.reserve(ref.args.size());
+    id.args.clear();
     for (const Term& t : ref.args) {
       if (t.is_literal()) {
         id.args.push_back(t.literal());

@@ -18,8 +18,10 @@ ItemInterner& ItemInterner::operator=(const ItemInterner& other) {
 }
 
 uint32_t ItemInterner::Intern(const rule::ItemId& item) {
+  // try_emplace copies the key only for a new item; emplace would build
+  // (and free) a node on every hit.
   auto [it, inserted] =
-      ids_.emplace(item, static_cast<uint32_t>(items_.size()));
+      ids_.try_emplace(item, static_cast<uint32_t>(items_.size()));
   if (!inserted) return it->second;
   items_.push_back(&it->first);
   views_stale_ = true;

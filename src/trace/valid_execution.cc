@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <tuple>
 #include <unordered_map>
 
 #include "src/common/string_util.h"
@@ -76,6 +77,7 @@ class Checker {
       : trace_(trace),
         options_(options),
         tables_(rules),
+        scratch_(tables_),
         timeline_(StateTimeline::Build(trace, !options.use_reference_impl)) {
     // Recorder-assigned ids are dense, so id lookup is normally a plain
     // vector index; sparse ids (hand-built traces) fall back to a map.
@@ -270,7 +272,7 @@ class Checker {
     for (size_t i = 0; i < trace_.events.size(); ++i) {
       const rule::Event& e = trace_.events[i];
       internal::CheckProvenance(tables_, e, EventById(e.trigger_event_id),
-                                *this, EmitAt(sink, i));
+                                *this, &scratch_, EmitAt(sink, i));
     }
   }
 
@@ -278,41 +280,39 @@ class Checker {
   // from the (kind, item base) rule index — the same pruning the live
   // dispatcher uses — instead of re-unifying every rule against every event.
   void CheckObligations(Sink* sink) {
-    fired_.reserve(trace_.events.size());
+    size_t generated = 0;
+    for (const auto& e : trace_.events) generated += !e.spontaneous();
+    fired_.Reserve(generated);
     for (const auto& e : trace_.events) {
       if (!e.spontaneous()) {
-        fired_[{e.trigger_event_id, e.rule_id, e.rhs_step}] = &e;
+        fired_.Put(e.trigger_event_id, e.rule_id, e.rhs_step,
+                   internal::FiredStep{e.time, e.id});
       }
     }
-    std::vector<size_t> candidates;
     for (size_t i = 0; i < trace_.events.size(); ++i) {
-      ObligationsForEvent(i, sink, &candidates);
+      ObligationsForEvent(i, sink);
     }
   }
 
-  void ObligationsForEvent(size_t i, Sink* sink,
-                           std::vector<size_t>* candidates) const {
+  void ObligationsForEvent(size_t i, Sink* sink) const {
     const rule::Event& e = trace_.events[i];
     auto emit = [sink, i](uint64_t seq, std::vector<int64_t> ids,
                           std::string message) {
       sink->AddSeq(i, seq, 6, std::move(ids), std::move(message));
     };
     internal::ScanObligations(
-        tables_, e, options_.use_reference_impl, candidates, sink, *this, emit,
-        [&](size_t cand, const rule::Rule& r, rule::Binding&& binding) {
+        tables_, e, options_.use_reference_impl, &scratch_, sink, *this, emit,
+        [&](size_t cand, const rule::Rule& r, const rule::BindingFrame& frame) {
           TimePoint deadline = internal::ObligationDeadline(
-              r, e.site, e.time, options_.outages, sites_);
+              r, internal::SiteSymOf(e), e.time, options_.outages, sites_);
           if (options_.skip_obligations_past_horizon &&
               trace_.horizon < deadline) {
             return;  // not yet due when the run ended
           }
-          auto fired = [&](int step) -> std::optional<internal::FiredStep> {
-            auto it = fired_.find({e.id, r.id, step});
-            if (it == fired_.end()) return std::nullopt;
-            return internal::FiredStep{it->second->time, it->second->id};
-          };
-          internal::CheckObligation(r, cand, e.id, e.time, binding, deadline,
-                                    fired, *this, sink, emit);
+          auto fired = [&](int step) { return fired_.Find(e.id, r.id, step); };
+          internal::CheckObligation(tables_, r, cand, e.id, e.time, frame,
+                                    deadline, fired, *this, &scratch_, sink,
+                                    emit);
         });
   }
 
@@ -323,37 +323,43 @@ class Checker {
                              std::string message) {
       sink->Add(ord++, property, std::move(ids), std::move(message));
     };
-    // Group generated events by (trigger site, event site) with a hash map
-    // (one string-pair hash per event, not an ordered-map walk), then emit
-    // channels in sorted order so the report is deterministic.
-    struct ChannelHash {
-      size_t operator()(const std::pair<std::string, std::string>& c) const {
-        return std::hash<std::string>()(c.first) * 1000003 +
-               std::hash<std::string>()(c.second);
-      }
-    };
-    std::unordered_map<std::pair<std::string, std::string>,
-                       std::vector<internal::ChannelPair>, ChannelHash>
-        groups;
+    // Group generated events by (trigger site, event site) symbols, then
+    // emit channels in site-name order so the report is deterministic.
+    std::unordered_map<uint64_t, std::vector<internal::ChannelPair>> groups;
     for (const auto& e : trace_.events) {
       if (e.spontaneous()) continue;
       const rule::Event* trigger = EventById(e.trigger_event_id);
       if (trigger == nullptr) continue;
-      groups[{trigger->site, e.site}].push_back(
+      uint64_t key = (uint64_t{internal::SiteSymOf(*trigger)} << 32) |
+                     internal::SiteSymOf(e);
+      groups[key].push_back(
           internal::ChannelPair{trigger->time, e.time, trigger->id, e.id});
     }
-    std::vector<decltype(groups)::value_type*> ordered;
+    struct Channel {
+      const std::string* trigger_site;
+      const std::string* event_site;
+      std::vector<internal::ChannelPair>* pairs;
+    };
+    std::vector<Channel> ordered;
     ordered.reserve(groups.size());
-    for (auto& entry : groups) ordered.push_back(&entry);
+    for (auto& [key, pairs] : groups) {
+      ordered.push_back(Channel{&Symbols().name(static_cast<uint32_t>(key >> 32)),
+                                &Symbols().name(static_cast<uint32_t>(key)),
+                                &pairs});
+    }
     std::sort(ordered.begin(), ordered.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-    for (auto* entry : ordered) {
-      auto& [channel, pairs] = *entry;
+              [](const Channel& a, const Channel& b) {
+                return std::tie(*a.trigger_site, *a.event_site) <
+                       std::tie(*b.trigger_site, *b.event_site);
+              });
+    for (Channel& ch : ordered) {
+      std::vector<internal::ChannelPair>& pairs = *ch.pairs;
       // stable_sort: ties keep insertion (trace) order.
       std::stable_sort(pairs.begin(), pairs.end(),
                        internal::ChannelOrderLess());
       for (size_t i = 1; i < pairs.size(); ++i) {
-        internal::CheckChannelAdjacent(channel, pairs[i - 1], pairs[i], emit);
+        internal::CheckChannelAdjacent(*ch.trigger_site, *ch.event_site,
+                                       pairs[i - 1], pairs[i], emit);
       }
     }
   }
@@ -361,6 +367,9 @@ class Checker {
   const Trace& trace_;
   const ValidExecutionOptions& options_;
   internal::RuleTables tables_;
+  // Matching and condition-probe buffers; mutable so the const passes can
+  // reuse them (the checker is single-threaded).
+  mutable internal::RuleScratch scratch_;
   StateTimeline timeline_;
   std::vector<const rule::Event*> events_dense_;  // id -> event (dense ids)
   std::unordered_map<int64_t, const rule::Event*> events_by_id_;
@@ -370,9 +379,7 @@ class Checker {
   // Item base -> home site, for outage coverage (learned only with outages).
   internal::SiteOfBase sites_;
   // Generated events by (trigger, rule, step); built by CheckObligations.
-  std::unordered_map<internal::FiredKey, const rule::Event*,
-                     internal::FiredKeyHash>
-      fired_;
+  internal::FiredIndex fired_;
   ExecutionReport report_;
   size_t extra_violations_ = 0;
 };

@@ -4,6 +4,7 @@
 
 #include "src/rule/parser.h"
 #include "src/rule/rule.h"
+#include "src/trace/execution_rules.h"
 
 namespace hcm::rule {
 namespace {
@@ -156,6 +157,195 @@ TEST(RuleCompileTest, WrongBaseOrKindRejectedByBothPaths) {
   EXPECT_FALSE(r->lhs.Matches(wrong_kind, &binding));
   EXPECT_FALSE(r->lhs.MatchesCompiled(wrong_kind, &frame));
   EXPECT_EQ(frame.num_bound(), 0u);
+}
+
+// --- The valid-execution checkers' uses of the compiled path ---
+//
+// The trace checkers match and evaluate on compiled rules only. Each case
+// below pins one of their uses against the name-keyed Binding semantics.
+
+using trace::internal::GroundInto;
+using trace::internal::RuleTables;
+using trace::internal::TemplateMatchesIgnoringSite;
+
+Event MakeEvent(EventKind kind, const std::string& base,
+                std::vector<Value> args, std::vector<Value> values) {
+  Event e;
+  e.time = TimePoint::FromMillis(1500);
+  e.site = "B";
+  e.kind = kind;
+  e.item = ItemId{base, std::move(args)};
+  e.values = std::move(values);
+  return e;
+}
+
+const Rule& OnlyRule(const RuleTables& tables) { return tables.rules()[0]; }
+
+RuleTables TablesFor(const std::string& text) {
+  auto r = ParseRule(text);
+  EXPECT_TRUE(r.ok()) << text;
+  r->id = 1;
+  return RuleTables({*r});
+}
+
+// Provenance binds `now` to the generated event's time before the LHS
+// condition runs; the frame's now slot must read exactly like the map key.
+TEST(CheckerCompiledPathTest, NowSlotAgreesWithMapBinding) {
+  RuleTables tables =
+      TablesFor("N(salary1(n), b) & now >= 1000 -> 5s WR(salary2(n), b)");
+  const Rule& r = OnlyRule(tables);
+  ASSERT_TRUE(r.compiled);
+  Event trigger = MakeNotify("salary1", {Value::Int(17)}, Value::Int(900));
+  for (int64_t now : {500, 1000, 1500}) {
+    SCOPED_TRACE(now);
+    Binding binding;
+    ASSERT_TRUE(r.lhs.Matches(trigger, &binding));
+    binding["now"] = Value::Int(now);
+    BindingFrame frame(tables.max_slots());
+    ASSERT_TRUE(r.lhs.MatchesCompiled(trigger, &frame));
+    frame.Set(static_cast<uint16_t>(r.now_slot), Value::Int(now));
+    EXPECT_EQ(frame.ToMap(r.slots), binding);
+    auto by_name = r.lhs_condition->EvalBool(binding, NullDataReader);
+    auto by_slot =
+        r.lhs_condition->EvalBoolFrame(frame, r.slots, NullDataReader);
+    ASSERT_TRUE(by_name.ok());
+    ASSERT_TRUE(by_slot.ok());
+    EXPECT_EQ(*by_slot, *by_name);
+    EXPECT_EQ(*by_slot, now >= 1000);
+  }
+  // An obligation's frame never binds `now`: both paths see it unbound.
+  BindingFrame lhs_only(tables.max_slots());
+  ASSERT_TRUE(r.lhs.MatchesCompiled(trigger, &lhs_only));
+  Binding lhs_binding;
+  ASSERT_TRUE(r.lhs.Matches(trigger, &lhs_binding));
+  EXPECT_FALSE(r.lhs_condition->EvalBool(lhs_binding, NullDataReader).ok());
+  EXPECT_FALSE(
+      r.lhs_condition->EvalBoolFrame(lhs_only, r.slots, NullDataReader).ok());
+}
+
+// Provenance unifies the generated event with its site-cleared RHS template
+// in the LHS frame, picking up RHS-only variables; a mismatch leaves the
+// LHS binding as it was.
+TEST(CheckerCompiledPathTest, RhsUnificationExtendsLhsBinding) {
+  RuleTables tables = TablesFor(
+      "N(salary1(n), b) -> 5s c > b ? WR(salary2(n), c)@B");
+  const Rule& r = OnlyRule(tables);
+  const EventTemplate& cleared = tables.ClearedRhs(r, 0);
+  EXPECT_TRUE(cleared.site.empty());
+  Event trigger = MakeNotify("salary1", {Value::Int(17)}, Value::Int(900));
+  Binding binding;
+  ASSERT_TRUE(r.lhs.Matches(trigger, &binding));
+  binding["now"] = Value::Int(1500);
+  BindingFrame frame(tables.max_slots());
+  ASSERT_TRUE(r.lhs.MatchesCompiled(trigger, &frame));
+  frame.Set(static_cast<uint16_t>(r.now_slot), Value::Int(1500));
+  const size_t lhs_bound = frame.num_bound();
+
+  Event miss = MakeEvent(EventKind::kWriteRequest, "salary2", {Value::Int(18)},
+                         {Value::Int(950)});
+  Binding miss_binding = binding;
+  EXPECT_FALSE(cleared.Matches(miss, &miss_binding));
+  EXPECT_FALSE(TemplateMatchesIgnoringSite(cleared, miss, &frame));
+  EXPECT_EQ(frame.num_bound(), lhs_bound);
+  EXPECT_EQ(frame.ToMap(r.slots), binding);
+
+  Event hit = MakeEvent(EventKind::kWriteRequest, "salary2", {Value::Int(17)},
+                        {Value::Int(950)});
+  Binding extended = binding;
+  ASSERT_TRUE(cleared.Matches(hit, &extended));
+  ASSERT_TRUE(TemplateMatchesIgnoringSite(cleared, hit, &frame));
+  EXPECT_EQ(frame.num_bound(), lhs_bound + 1);
+  EXPECT_EQ(frame.ToMap(r.slots), extended);
+  EXPECT_EQ(extended.at("c"), Value::Int(950));
+  // The step condition reads the RHS-only variable on both paths.
+  auto by_name = r.rhs[0].condition->EvalBool(extended, NullDataReader);
+  auto by_slot =
+      r.rhs[0].condition->EvalBoolFrame(frame, r.slots, NullDataReader);
+  ASSERT_TRUE(by_name.ok());
+  ASSERT_TRUE(by_slot.ok());
+  EXPECT_TRUE(*by_name);
+  EXPECT_EQ(*by_slot, *by_name);
+}
+
+// A whole-base read request (RR with no arguments) stands for every
+// instance of a parameterized RR template: it matches without binding
+// anything. An RR naming one instance unifies like any other template.
+TEST(CheckerCompiledPathTest, WholeBaseReadRequestSpecialCase) {
+  RuleTables tables = TablesFor("N(salary1(n), b) -> 5s RR(salary2(n))");
+  const Rule& r = OnlyRule(tables);
+  const EventTemplate& cleared = tables.ClearedRhs(r, 0);
+  Event trigger = MakeNotify("salary1", {Value::Int(17)}, Value::Int(900));
+  BindingFrame frame(tables.max_slots());
+  ASSERT_TRUE(r.lhs.MatchesCompiled(trigger, &frame));
+  const size_t lhs_bound = frame.num_bound();
+  Binding binding;
+  ASSERT_TRUE(r.lhs.Matches(trigger, &binding));
+
+  Event whole = MakeEvent(EventKind::kReadRequest, "salary2", {}, {});
+  Binding scratch = binding;
+  EXPECT_FALSE(cleared.Matches(whole, &scratch));  // arity differs
+  EXPECT_TRUE(TemplateMatchesIgnoringSite(cleared, whole, &frame));
+  EXPECT_EQ(frame.num_bound(), lhs_bound);
+
+  Event other_base = MakeEvent(EventKind::kReadRequest, "salary3", {}, {});
+  EXPECT_FALSE(TemplateMatchesIgnoringSite(cleared, other_base, &frame));
+
+  Event same = MakeEvent(EventKind::kReadRequest, "salary2", {Value::Int(17)},
+                         {});
+  Event other = MakeEvent(EventKind::kReadRequest, "salary2",
+                          {Value::Int(18)}, {});
+  for (const Event* e : {&same, &other}) {
+    Binding b = binding;
+    EXPECT_EQ(TemplateMatchesIgnoringSite(cleared, *e, &frame),
+              cleared.Matches(*e, &b));
+    EXPECT_EQ(frame.ToMap(r.slots), b);
+  }
+}
+
+// Property 6 probes an unfired step's condition at the state changes of
+// the items it reads: the compiled condition items ground, through the LHS
+// frame, to exactly the ItemIds the map path grounds, and a variable the
+// LHS did not bind fails both. Condition values agree for any reader.
+TEST(CheckerCompiledPathTest, ConditionItemsGroundLikeTheMapPath) {
+  RuleTables tables = TablesFor(
+      "N(salary1(n), b) -> 5s Cache(n, 7) != b ? W(Cache(n, 7), b), "
+      "Seen(m) = b ? W(Log(n), b)");
+  const Rule& r = OnlyRule(tables);
+  Event trigger = MakeNotify("salary1", {Value::Str("ann")}, Value::Int(900));
+  BindingFrame frame(tables.max_slots());
+  ASSERT_TRUE(r.lhs.MatchesCompiled(trigger, &frame));
+  Binding binding;
+  ASSERT_TRUE(r.lhs.Matches(trigger, &binding));
+
+  ItemId grounded;  // one buffer reused across groundings, like the checker
+  for (size_t step = 0; step < r.rhs.size(); ++step) {
+    SCOPED_TRACE(step);
+    std::vector<ItemRef> refs;
+    r.rhs[step].condition->Collect(&refs, nullptr);
+    const std::vector<ItemRef>& compiled = tables.ConditionItems(r, step);
+    ASSERT_EQ(compiled.size(), refs.size());
+    for (size_t i = 0; i < refs.size(); ++i) {
+      auto by_name = refs[i].Ground(binding);
+      bool ok = GroundInto(compiled[i], frame, &grounded);
+      EXPECT_EQ(ok, by_name.ok());
+      if (ok && by_name.ok()) {
+        EXPECT_EQ(grounded, *by_name);
+      }
+    }
+  }
+  EXPECT_TRUE(GroundInto(tables.ConditionItems(r, 0)[0], frame, &grounded));
+  EXPECT_EQ(grounded, (ItemId{"Cache", {Value::Str("ann"), Value::Int(7)}}));
+  EXPECT_FALSE(GroundInto(tables.ConditionItems(r, 1)[0], frame, &grounded));
+
+  DataReader reader = [](const ItemId& item) -> Result<Value> {
+    return item.args.empty() ? Value::Int(0) : Value::Int(900);
+  };
+  auto by_name = r.rhs[0].condition->EvalBool(binding, reader);
+  auto by_slot = r.rhs[0].condition->EvalBoolFrame(frame, r.slots, reader);
+  ASSERT_TRUE(by_name.ok());
+  ASSERT_TRUE(by_slot.ok());
+  EXPECT_FALSE(*by_name);
+  EXPECT_EQ(*by_slot, *by_name);
 }
 
 }  // namespace

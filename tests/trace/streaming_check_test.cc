@@ -4,8 +4,10 @@
 // finished trace. Exercised in tee mode (sink attached, offline trace
 // still accumulated, both checked) over the E1 payroll deployment and the
 // E9 Stanford deployment at 1 and 4 worker threads, over a randomized
-// 100k-event trace with injected violations (reported live, mid-run), and
-// over a crash/recover run against the outage-aware offline checker on the
+// 100k-event trace with injected violations (reported live, mid-run), over
+// a randomized trace whose rule program uses every matching feature (LHS
+// and step conditions, prohibitions, repeated variables, whole-base reads)
+// with violations of properties 2 and 4-7, and over a crash/recover run against the outage-aware offline checker on the
 // sequential and the parallel engine. The overlap case checks the parallel
 // engine's delivery contract in tee and drain mode at 1, 2 and 4 threads:
 // identical reports, everything delivered when RunFor returns, and checker
@@ -13,6 +15,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <limits>
+#include <map>
 #include <mutex>
 #include <queue>
 #include <set>
@@ -579,6 +583,247 @@ TEST(StreamingCheckTest, RandomizedTraceMatchesOfflineWithLiveViolations) {
   EXPECT_GE(streaming.execution_report().violations.size(), 10u);
   EXPECT_GT(streaming.stats().events_retired, 0u);
   EXPECT_LT(streaming.stats().events_live_peak, t.events.size() / 2);
+}
+
+// --- Randomized trace over a rule program using every matching feature ---
+
+// One rule per feature the shared rules' matching handles: an LHS
+// condition, a two-step RHS whose second step is conditioned on an item, a
+// prohibition, a template repeating a variable, and a parameterized RR
+// that the runtime may satisfy with one argument-free whole-base request.
+std::vector<rule::Rule> FeatureRules() {
+  const char* texts[] = {
+      "N(src(k), b) & b > 100 -> 3s WR(dst(k), b)",
+      "N(tw(k), b) -> 3s WR(ta(k), b), Cache(k) != b ? W(Cache(k), b)",
+      "Ws(Bad, a, b) -> 1s F",
+      "N(rep(k), k) -> 3s WR(echo(k), k)",
+      "N(ask(k), b) -> 3s RR(book(k))",
+  };
+  std::vector<rule::Rule> rules;
+  for (const char* text : texts) {
+    auto r = rule::ParseRule(text);
+    EXPECT_TRUE(r.ok()) << text;
+    r->id = static_cast<int64_t>(rules.size()) + 10;
+    rules.push_back(*r);
+  }
+  return rules;
+}
+
+// A mostly-valid trace over FeatureRules with injected violations of
+// properties 2 (wrong old value), 4 (spontaneous event with a trigger),
+// 5 (fire not matching its template), 6 (dropped fires, prohibited
+// writes) and 7 (a fire overtaking an earlier trigger's on its channel),
+// recorded through `rec`.
+Trace GenerateFeatureTrace(TraceRecorder& rec, uint64_t seed,
+                           size_t target_events) {
+  constexpr int64_t kKeys = 12;
+  auto keyed = [](const char* base, int64_t k) {
+    return ItemId{base, {Value::Int(k)}};
+  };
+  for (int64_t k = 0; k < kKeys; ++k) {
+    rec.SetInitialValue(keyed("Cache", k), Value::Int(0));
+    rec.SetInitialValue(keyed("val", k), Value::Int(0));
+  }
+  rec.SetInitialValue(ItemId{"Bad", {}}, Value::Int(0));
+
+  struct Fire {
+    int64_t at_ms = 0;
+    uint64_t seq = 0;
+    Event event;
+    bool conditional_cache = false;  // rule 11's guarded W(Cache(k), b)
+    bool operator>(const Fire& o) const {
+      return at_ms != o.at_ms ? at_ms > o.at_ms : seq > o.seq;
+    }
+  };
+  std::priority_queue<Fire, std::vector<Fire>, std::greater<Fire>> pending;
+  uint64_t seq = 0;
+  std::vector<int64_t> cache(kKeys, 0), current(kKeys, 0);
+  // Latest fire per channel: fires on a channel are scheduled in trigger
+  // order unless a reorder is injected.
+  std::map<std::string, int64_t> last_fire;
+  Rng rng(seed);
+  int64_t now = 0, bad = 0, last_id = -1;
+
+  auto record = [&](Event e) {
+    last_id = rec.Record(e);
+    return last_id;
+  };
+  auto fire = [&](int64_t at, Event e, bool conditional_cache = false) {
+    pending.push(Fire{at, ++seq, std::move(e), conditional_cache});
+  };
+  auto next_at = [&](const std::string& channel, int64_t lo, int64_t hi) {
+    int64_t& last = last_fire[channel];
+    last = std::max(last + 1, now + rng.UniformInt(lo, hi));
+    return last;
+  };
+  auto generated = [](int64_t rule_id, int64_t trigger, int step,
+                      const std::string& site, EventKind kind, ItemId item,
+                      std::vector<Value> values) {
+    Event e;
+    e.site = site;
+    e.kind = kind;
+    e.item = std::move(item);
+    e.values = std::move(values);
+    e.rule_id = rule_id;
+    e.trigger_event_id = trigger;
+    e.rhs_step = step;
+    return e;
+  };
+  auto flush = [&](int64_t up_to_ms) {
+    while (!pending.empty() && pending.top().at_ms <= up_to_ms) {
+      Fire f = pending.top();
+      pending.pop();
+      f.event.time = TimePoint::FromMillis(f.at_ms);
+      if (f.conditional_cache) {
+        // Fires only while its condition holds at the firing instant.
+        int64_t k = f.event.item.args[0].AsInt();
+        int64_t b = f.event.values[0].AsInt();
+        if (cache[static_cast<size_t>(k)] == b) continue;
+        cache[static_cast<size_t>(k)] = b;
+      }
+      record(f.event);
+    }
+  };
+  auto notify = [&](const std::string& site, ItemId item, int64_t v) {
+    Event e;
+    e.time = TimePoint::FromMillis(now);
+    e.site = site;
+    e.kind = EventKind::kNotify;
+    e.item = std::move(item);
+    e.values = {Value::Int(v)};
+    return record(e);
+  };
+  auto write_spont = [&](ItemId item, Value old_v, int64_t v,
+                         int64_t trigger) {
+    Event e;
+    e.time = TimePoint::FromMillis(now);
+    e.site = "A";
+    e.kind = EventKind::kWriteSpont;
+    e.item = std::move(item);
+    e.values = {std::move(old_v), Value::Int(v)};
+    e.trigger_event_id = trigger;
+    record(e);
+  };
+
+  while (rec.num_events() < target_events) {
+    now += rng.UniformInt(1, 10);
+    flush(now);
+    const int64_t k = rng.UniformInt(0, kKeys - 1);
+    const int64_t v = rng.UniformInt(0, 300);
+    const double roll = rng.UniformDouble();
+    if (roll < 0.3) {
+      // Rule 10 on channel S<k%4> -> D<k%3>, taken only when b > 100.
+      const std::string from = "S" + std::to_string(k % 4);
+      const std::string to = "D" + std::to_string(k % 3);
+      int64_t id = notify(from, keyed("src", k), v);
+      if (v <= 100 || rng.Bernoulli(0.002)) continue;  // 0.2%: dropped (6)
+      int64_t& last = last_fire[from + ">" + to];
+      int64_t at = std::max(last + 1, now + rng.UniformInt(50, 2500));
+      if (last > now + 1 && rng.Bernoulli(0.01)) {
+        at = now + 1;  // overtakes an earlier trigger's fire (7)
+      } else {
+        last = at;
+      }
+      int64_t out = rng.Bernoulli(0.002) ? v + 1000 : v;  // mismatch (5)
+      fire(at, generated(10, id, 0, to, EventKind::kWriteRequest,
+                         keyed("dst", k), {Value::Int(out)}));
+    } else if (roll < 0.4) {
+      // Rule 11: WR(ta(k), b), then the guarded W(Cache(k), b).
+      int64_t id = notify("T", keyed("tw", k), v);
+      int64_t at = next_at("T>U", 20, 1500);
+      fire(at, generated(11, id, 0, "U", EventKind::kWriteRequest,
+                         keyed("ta", k), {Value::Int(v)}));
+      if (rng.Bernoulli(0.01)) continue;  // guarded step withheld (6)
+      last_fire["T>U"] = at + rng.UniformInt(1, 20);
+      fire(last_fire["T>U"],
+           generated(11, id, 1, "U", EventKind::kWrite, keyed("Cache", k),
+                     {Value::Int(v)}),
+           /*conditional_cache=*/true);
+    } else if (roll < 0.45) {
+      // Rule 13 triggers only when the value repeats the key.
+      bool repeats = rng.Bernoulli(0.5);
+      int64_t id = notify("R", keyed("rep", k), repeats ? k : k + 1);
+      if (!repeats) continue;
+      fire(next_at("R>E", 10, 2000),
+           generated(13, id, 0, "E", EventKind::kWriteRequest,
+                     keyed("echo", k), {Value::Int(k)}));
+    } else if (roll < 0.5) {
+      // Rule 14: half the requests are whole-base (argument-free).
+      int64_t id = notify("Q", keyed("ask", k), v);
+      ItemId book = rng.Bernoulli(0.5) ? ItemId{"book", {}} : keyed("book", k);
+      fire(next_at("Q>L", 10, 2000),
+           generated(14, id, 0, "L", EventKind::kReadRequest, std::move(book),
+                     {}));
+    } else if (roll < 0.502) {
+      write_spont(ItemId{"Bad", {}}, Value::Int(bad), v, -1);  // F (6)
+      bad = v;
+    } else {
+      Value old_v = Value::Int(current[static_cast<size_t>(k)]);
+      if (rng.Bernoulli(0.001)) old_v = Value::Int(-1);  // wrong old (2)
+      int64_t trigger = rng.Bernoulli(0.001) ? last_id : -1;  // (4)
+      write_spont(keyed("val", k), std::move(old_v), v, trigger);
+      current[static_cast<size_t>(k)] = v;
+    }
+  }
+  flush(std::numeric_limits<int64_t>::max());
+  return rec.Finish(TimePoint::FromMillis(now + 10000));
+}
+
+// Replays a finished trace into a fresh checker, a watermark at each new
+// instant (the single-threaded recorder's delivery).
+std::string ReplayStreaming(const Trace& t, const std::vector<rule::Rule>& rules,
+                            const ValidExecutionOptions& vopts) {
+  StreamingCheckOptions sopts;
+  sopts.valid = vopts;
+  StreamingChecker streaming(rules, {}, sopts);
+  for (const auto& [item, value] : t.initial_values) {
+    streaming.OnInitialValue(item, value);
+  }
+  for (size_t i = 0; i < t.events.size(); ++i) {
+    if (i == 0 || t.events[i - 1].time < t.events[i].time) {
+      streaming.OnWatermark(t.events[i].time);
+    }
+    streaming.OnEvent(t.events[i]);
+  }
+  streaming.OnFinish(t.horizon);
+  return streaming.execution_report().ToString();
+}
+
+TEST(StreamingCheckTest, RandomizedFeatureTraceMatchesOffline) {
+  std::vector<rule::Rule> rules = FeatureRules();
+  StreamingCheckOptions sopts;
+  sopts.valid.max_violations = 100000;
+  StreamingChecker streaming(rules, {}, sopts);
+  TraceRecorder rec;
+  rec.AttachSink(&streaming, /*drain=*/false);
+  Trace t = GenerateFeatureTrace(rec, 20261018, 40000);
+  ASSERT_TRUE(streaming.finished());
+
+  const ExecutionReport offline = CheckValidExecution(t, rules, sopts.valid);
+  EXPECT_EQ(streaming.execution_report().ToString(), offline.ToString());
+
+  // Not vacuous: every injected kind of violation is in the report, and
+  // the state was retired while the trace streamed.
+  std::set<int> properties;
+  std::set<std::string> prop6_kinds;
+  for (const ExecutionViolation& v : offline.violations) {
+    properties.insert(v.property);
+    if (v.property == 6) prop6_kinds.insert(v.message.substr(0, 16));
+  }
+  for (int p : {2, 4, 5, 6, 7}) {
+    EXPECT_EQ(properties.count(p), 1u) << "no property " << p << " violation";
+  }
+  EXPECT_EQ(properties.count(1), 0u);
+  EXPECT_GE(prop6_kinds.size(), 2u);  // missed fires and prohibitions
+  EXPECT_GT(offline.obligations_checked, 1000u);
+  EXPECT_GT(streaming.stats().events_retired, 0u);
+  EXPECT_GT(streaming.stats().pairs_retired, 0u);
+
+  // A capped report is the same prefix through both drivers.
+  ValidExecutionOptions capped;
+  capped.max_violations = 7;
+  EXPECT_EQ(ReplayStreaming(t, rules, capped),
+            CheckValidExecution(t, rules, capped).ToString());
 }
 
 // --- Windowed guarantees: closed anchor regions evaluated mid-run ---

@@ -309,6 +309,61 @@ TEST_F(ValidExecutionTest, Property7OutOfOrderProcessing) {
   }
 }
 
+// Property-7 violations are reported channel-major in (trigger site, event
+// site) name order, whatever order the channels first saw traffic in. Four
+// channels, each with one reordered pair, arrive as C->D, A->E, B->A, A->B;
+// both drivers must report A->B, A->E, B->A, C->D, and a cap keeps that
+// order's prefix.
+TEST_F(ValidExecutionTest, Property7ReportsChannelsInSiteNameOrder) {
+  const std::vector<std::pair<std::string, std::string>> arrival = {
+      {"C", "D"}, {"A", "E"}, {"B", "A"}, {"A", "B"}};
+  std::vector<std::vector<int64_t>> pair_ids;  // per channel, arrival order
+  int64_t base = 0;
+  for (const auto& [from, to] : arrival) {
+    Event n1 = Notify(base + 100, 1);
+    n1.site = from;
+    Event n2 = Notify(base + 200, 2);
+    n2.site = from;
+    int64_t id1 = rec_.Record(n1);
+    int64_t id2 = rec_.Record(n2);
+    // The second notification is processed first: out of order.
+    Event w2 = WriteRequest(base + 1000, 2, id2);
+    w2.site = to;
+    Event w1 = WriteRequest(base + 2000, 1, id1);
+    w1.site = to;
+    int64_t wid2 = rec_.Record(w2);
+    int64_t wid1 = rec_.Record(w1);
+    pair_ids.push_back({wid1, wid2});
+    base += 10000;
+  }
+  Trace t = rec_.Finish(TimePoint::FromMillis(60000));
+  // Channel indexes into `arrival`, in site-name order.
+  const std::vector<size_t> name_order = {3, 1, 2, 0};
+  auto expect_prefix = [&](const ExecutionReport& report, size_t n) {
+    ASSERT_EQ(report.violations.size(), n) << report.ToString();
+    for (size_t i = 0; i < n; ++i) {
+      const auto& [from, to] = arrival[name_order[i]];
+      const ExecutionViolation& v = report.violations[i];
+      EXPECT_EQ(v.property, 7);
+      EXPECT_EQ(v.message,
+                "out-of-order processing on channel " + from + " -> " + to);
+      EXPECT_EQ(v.event_ids, pair_ids[name_order[i]]);
+    }
+  };
+  for (const auto& [driver, report] : CheckBoth(t, {rule_})) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(report.valid);
+    expect_prefix(report, arrival.size());
+  }
+  ValidExecutionOptions capped;
+  capped.max_violations = 2;
+  for (const auto& [driver, report] : CheckBoth(t, {rule_}, capped)) {
+    SCOPED_TRACE(driver);
+    EXPECT_FALSE(report.valid);
+    expect_prefix(report, 2);
+  }
+}
+
 TEST_F(ValidExecutionTest, ReportToStringMentionsProperties) {
   rec_.Record(Notify(100, 7));
   Trace t = rec_.Finish(TimePoint::FromMillis(60000));
