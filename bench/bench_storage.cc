@@ -168,7 +168,7 @@ void BM_SiteStoreRecover(benchmark::State& state) {
         Value::Int(static_cast<int64_t>(rng.UniformInt(1, 100000))),
         TimePoint::FromMillis(now_ms));
     if (i == n / 2) {
-      storage::SnapshotState snap;
+      storage::Snapshot snap;
       snap.site = "B";
       snap.taken_at_ms = now_ms;
       if (!(*store)->WriteSnapshot(std::move(snap)).ok()) {
@@ -202,9 +202,9 @@ BENCHMARK(BM_SiteStoreRecover)
 // --- Checkpoint cost: full base snapshots vs. incremental deltas ---
 
 // A million-item-class site state: `items` private entries.
-storage::SnapshotState BigState(const std::string& site, int items,
+storage::Snapshot BigState(const std::string& site, int items,
                                 Rng& rng) {
-  storage::SnapshotState s;
+  storage::Snapshot s;
   s.site = site;
   s.private_data.reserve(static_cast<size_t>(items));
   for (int i = 0; i < items; ++i) {
@@ -247,13 +247,13 @@ void BM_CheckpointFull(benchmark::State& state) {
     return;
   }
   Rng rng(5);
-  storage::SnapshotState big = BigState("B", items, rng);
+  storage::Snapshot big = BigState("B", items, rng);
   int64_t now_ms = 0;
   for (auto _ : state) {
     state.PauseTiming();
     ApplyChurn(**store, items, churn, rng, now_ms);
     state.ResumeTiming();
-    storage::SnapshotState snap = big;  // enumerating the full live state
+    storage::Snapshot snap = big;  // enumerating the full live state
     snap.taken_at_ms = now_ms;
     if (!(*store)->WriteSnapshot(std::move(snap)).ok()) {
       state.SkipWithError("snapshot failed");
@@ -289,7 +289,7 @@ void BM_CheckpointDelta(benchmark::State& state) {
     return;
   }
   Rng rng(6);
-  storage::SnapshotState base = BigState("B", items, rng);
+  storage::Snapshot base = BigState("B", items, rng);
   if (!(*store)->WriteSnapshot(std::move(base)).ok()) {
     state.SkipWithError("base snapshot failed");
     return;
@@ -299,17 +299,19 @@ void BM_CheckpointDelta(benchmark::State& state) {
     state.PauseTiming();
     ApplyChurn(**store, items, churn, rng, now_ms);
     state.ResumeTiming();
-    // Enumerate the dirty set into a delta, exactly as Shell::BuildDelta
-    // does (upserts only here; the keys just churned).
-    storage::SnapshotDelta delta;
+    // Enumerate the dirty set into a delta, exactly as
+    // Shell::BuildSnapshot(/*full=*/false) does (upserts only here; the
+    // keys just churned).
+    storage::Snapshot delta;
     delta.taken_at_ms = now_ms;
-    delta.private_upserts.reserve(static_cast<size_t>(churn));
+    delta.parent_records = 0;  // a delta; the store links it to the tip
+    delta.private_data.reserve(static_cast<size_t>(churn));
     for (int i = 0; i < churn; ++i) {
-      delta.private_upserts.emplace_back(
+      delta.private_data.emplace_back(
           rule::ItemId{"Tb", {Value::Int(static_cast<int64_t>(i))}},
           Value::Int(static_cast<int64_t>(rng.UniformInt(1, 100000))));
     }
-    auto written = (*store)->WriteDelta(std::move(delta));
+    auto written = (*store)->WriteSnapshot(std::move(delta));
     if (!written.ok() || !*written) {
       state.SkipWithError("delta write failed");
       return;
@@ -347,7 +349,7 @@ void BM_RecoverFromChain(benchmark::State& state) {
     return;
   }
   Rng rng(7);
-  storage::SnapshotState base = BigState("B", items, rng);
+  storage::Snapshot base = BigState("B", items, rng);
   if (!(*store)->WriteSnapshot(std::move(base)).ok()) {
     state.SkipWithError("base snapshot failed");
     return;
@@ -355,14 +357,15 @@ void BM_RecoverFromChain(benchmark::State& state) {
   int64_t now_ms = 0;
   for (int link = 0; link < chain; ++link) {
     ApplyChurn(**store, items, churn, rng, now_ms);
-    storage::SnapshotDelta delta;
+    storage::Snapshot delta;
     delta.taken_at_ms = now_ms;
+    delta.parent_records = 0;
     for (int i = 0; i < churn; ++i) {
-      delta.private_upserts.emplace_back(
+      delta.private_data.emplace_back(
           rule::ItemId{"Tb", {Value::Int(static_cast<int64_t>(i))}},
           Value::Int(static_cast<int64_t>(rng.UniformInt(1, 100000))));
     }
-    auto written = (*store)->WriteDelta(std::move(delta));
+    auto written = (*store)->WriteSnapshot(std::move(delta));
     if (!written.ok() || !*written) {
       state.SkipWithError("delta write failed");
       return;
@@ -409,7 +412,7 @@ void BM_RecoverCompactedChain(benchmark::State& state) {
     return;
   }
   Rng rng(7);
-  storage::SnapshotState base = BigState("B", items, rng);
+  storage::Snapshot base = BigState("B", items, rng);
   if (!(*store)->WriteSnapshot(std::move(base)).ok()) {
     state.SkipWithError("base snapshot failed");
     return;
@@ -417,14 +420,15 @@ void BM_RecoverCompactedChain(benchmark::State& state) {
   int64_t now_ms = 0;
   for (int link = 0; link < 16; ++link) {
     ApplyChurn(**store, items, churn, rng, now_ms);
-    storage::SnapshotDelta delta;
+    storage::Snapshot delta;
     delta.taken_at_ms = now_ms;
+    delta.parent_records = 0;
     for (int i = 0; i < churn; ++i) {
-      delta.private_upserts.emplace_back(
+      delta.private_data.emplace_back(
           rule::ItemId{"Tb", {Value::Int(static_cast<int64_t>(i))}},
           Value::Int(static_cast<int64_t>(rng.UniformInt(1, 100000))));
     }
-    auto written = (*store)->WriteDelta(std::move(delta));
+    auto written = (*store)->WriteSnapshot(std::move(delta));
     if (!written.ok() || !*written) {
       state.SkipWithError("delta write failed");
       return;

@@ -72,12 +72,12 @@ Status JournalWriter::Open(const std::string& path, uint64_t existing_bytes) {
     if (file_ == nullptr) {
       return Status::Internal("cannot create journal: " + path);
     }
-    if (std::fwrite(kJournalMagic, 1, kMagicSize, file_) != kMagicSize) {
+    if (std::fwrite(kJournalMagic, 1, kMagicSize, file_) != kMagicSize ||
+        std::fflush(file_) != 0) {
       std::fclose(file_);
       file_ = nullptr;
       return Status::Internal("cannot write journal header: " + path);
     }
-    std::fflush(file_);
     bytes_committed_ = kMagicSize;
   } else {
     // Reopen after recovery: keep the valid prefix, discard any torn tail.
@@ -103,12 +103,12 @@ Status JournalWriter::Open(const std::string& path, uint64_t existing_bytes) {
       file_ = std::fopen(path.c_str(), "wb");
       if (file_ == nullptr) return Status::Internal("cannot rewrite " + path);
       if (std::fwrite(prefix.data(), 1, prefix.size(), file_) !=
-          prefix.size()) {
+              prefix.size() ||
+          std::fflush(file_) != 0) {
         std::fclose(file_);
         file_ = nullptr;
         return Status::Internal("cannot restore journal prefix: " + path);
       }
-      std::fflush(file_);
     } else {
       std::fseek(file_, 0, SEEK_END);
     }
@@ -138,11 +138,14 @@ void JournalWriter::Append(RecordType type, std::string payload) {
 Status JournalWriter::Flush() {
   if (pending_.empty()) return Status::OK();
   if (file_ == nullptr) return Status::FailedPrecondition("journal closed");
+  // A batch counts as committed only once the OS has accepted every byte;
+  // on failure it stays buffered, so snapshot sequence numbers never
+  // count records that did not reach the file.
   if (std::fwrite(pending_.data(), 1, pending_.size(), file_) !=
-      pending_.size()) {
+          pending_.size() ||
+      std::fflush(file_) != 0) {
     return Status::Internal("journal write failed");
   }
-  std::fflush(file_);
   bytes_committed_ += pending_.size();
   records_committed_ += buffered_records_;
   ++commits_;
@@ -172,7 +175,9 @@ Status JournalWriter::MaybeCommit(TimePoint now) {
 Status JournalWriter::Close() {
   if (file_ == nullptr) return Status::OK();
   Status s = Flush();
-  std::fclose(file_);
+  if (std::fclose(file_) != 0 && s.ok()) {
+    s = Status::Internal("journal close failed");
+  }
   file_ = nullptr;
   return s;
 }

@@ -42,13 +42,16 @@ struct JournalRecord {
 // Append-only binary journal writer with group commit.
 //
 // Frame layout: u32 payload length | u8 record type | payload | u32 CRC-32
-// over (type byte + payload). Appends accumulate in memory; Flush() writes
-// and syncs the batch. MaybeCommit(now) implements group commit on the
-// *simulation* clock: the buffered batch is flushed once `commit_interval`
-// of simulated time has passed since the previous commit, so commit cost is
-// amortized over every record the site produced in the window. A crash that
-// loses the buffered tail is exactly the durability gap the recovery
-// protocol's failure classification charges for (see Shell::Recover).
+// over (type byte + payload). Appends accumulate in memory; Flush() hands
+// the batch to the OS (fwrite + fflush, no fsync), so a committed record
+// survives a process crash but not an OS crash or power loss (ROADMAP
+// "Storage whose durability claim is checked"). MaybeCommit(now)
+// implements group commit on the *simulation* clock: the buffered batch is
+// flushed once `commit_interval` of simulated time has passed since the
+// previous commit, so commit cost is amortized over every record the site
+// produced in the window. A crash that loses the buffered tail is exactly
+// the durability gap the recovery protocol's failure classification
+// charges for (see Shell::Recover).
 class JournalWriter {
  public:
   JournalWriter() = default;
@@ -69,8 +72,9 @@ class JournalWriter {
   // Buffers one record. Cheap: one frame encode into the pending batch.
   void Append(RecordType type, std::string payload);
 
-  // Writes and syncs every buffered frame. Idempotent when nothing is
-  // buffered.
+  // Writes and flushes every buffered frame to the OS. Idempotent when
+  // nothing is buffered. On a write or flush error the batch stays
+  // buffered and is not counted as committed.
   Status Flush();
 
   // Drops the buffered (uncommitted) tail — the dirty-crash path.

@@ -44,7 +44,7 @@ struct StorageOptions {
 // What Recover() hands back: the merged chain+journal state plus how it
 // got there, for failure classification and operator reporting.
 struct RecoveredState {
-  SnapshotState state;
+  Snapshot state;  // a base record
   bool snapshot_found = false;
   uint64_t snapshot_records = 0;  // journal prefix the chain tip covered
   uint64_t chain_deltas = 0;      // delta links applied over the base
@@ -97,19 +97,17 @@ class SiteStore {
   void LogFireStep(uint64_t seq, uint32_t step, TimePoint now);
   void LogFireEnd(uint64_t seq, TimePoint now);
 
-  // Flushes the journal and writes `state` as the next base snapshot
-  // (state.journal_records is stamped with the committed record count).
-  // Starts a fresh chain and garbage-collects superseded files.
-  Status WriteSnapshot(SnapshotState state);
-
-  // Flushes the journal and appends `delta` to the current chain, stamped
-  // with parent = current tip and journal_records = committed count.
-  // Returns false without writing when there is nothing to persist (the
-  // journal did not advance past the tip, or the delta carries no
-  // entries) — the caller keeps its dirty state for the next period.
-  // Triggers compaction when the chain exceeds max_chain_length.
-  // Fails with FailedPrecondition while needs_base() is true.
-  Result<bool> WriteDelta(SnapshotDelta delta);
+  // Flushes the journal and appends `record` to the chain, stamped with
+  // journal_records = the committed record count. A base (no parent)
+  // starts a fresh chain and garbage-collects superseded files. A delta is
+  // linked to the current tip (whatever parent_records the caller put
+  // there is replaced), fails with FailedPrecondition while needs_base()
+  // is true, and triggers compaction once the chain exceeds
+  // max_chain_length. Returns false without writing a delta when there is
+  // nothing to persist (the journal did not advance past the tip, or the
+  // delta carries no entries) — the caller keeps its dirty state for the
+  // next period.
+  Result<bool> WriteSnapshot(Snapshot record);
 
   // Folds the current base + deltas into a new base at the chain tip and
   // garbage-collects files older than the retention horizon. No-op for a
@@ -155,8 +153,9 @@ class SiteStore {
                                                    : options.keep_snapshots) {}
 
   std::string JournalPath() const { return dir_ + "/journal.wal"; }
-  std::string SnapshotPath(uint64_t seq) const;
-  std::string DeltaPath(uint64_t seq) const;
+  // `snapshot-<records>.snap` for a base, `delta-<records>.snap` else.
+  std::string ChainPath(const ChainEntry& entry) const;
+  Result<Snapshot> ReadChainFile(const ChainEntry& entry) const;
   std::string ManifestPath() const { return dir_ + "/chain.manifest"; }
 
   Status WriteManifest() const;

@@ -11,9 +11,10 @@ namespace hcm::storage {
 namespace {
 
 constexpr char kSnapshotMagic[8] = {'H', 'C', 'M', 'S', 'N', 'P', '1', '\n'};
-constexpr char kDeltaMagic[8] = {'H', 'C', 'M', 'D', 'L', 'T', '1', '\n'};
 constexpr size_t kMagicSize = sizeof(kSnapshotMagic);
-constexpr uint32_t kFormatVersion = 1;
+// Version 1 kept bases and deltas in two body layouts under two magics;
+// version 2 is the one record layout for both.
+constexpr uint32_t kFormatVersion = 2;
 
 // Name dictionary local to one snapshot: strings used repeatedly (rule
 // texts excepted — those are one-shot) are written once in the dictionary
@@ -84,102 +85,58 @@ OutstandingFire GetFire(ByteReader* r, const std::vector<std::string>& dict) {
   return f;
 }
 
-// Shared crash-atomic framed-file writer: magic | u32 len | body | u32 crc,
-// staged in "<path>.tmp" and renamed over the final name only once every
-// byte is on disk. Recovery never sees a half-written file under a name it
-// would load.
-Status WriteFramedFile(const std::string& path, const char* magic,
-                       const std::string& body) {
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot create " + tmp);
-  uint32_t len = static_cast<uint32_t>(body.size());
-  uint32_t crc = Crc32(body.data(), body.size());
-  bool ok = std::fwrite(magic, 1, kMagicSize, f) == kMagicSize &&
-            std::fwrite(&len, 1, sizeof len, f) == sizeof len &&
-            std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
-            std::fwrite(&crc, 1, sizeof crc, f) == sizeof crc;
-  ok = std::fflush(f) == 0 && ok;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " into place");
-  }
-  return Status::OK();
-}
-
-Result<std::string> ReadFramedFile(const std::string& path,
-                                   const char* magic, const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound(std::string("no ") + what + " at " + path);
-  }
-  std::string data;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) data.append(buf, got);
-  std::fclose(f);
-  if (data.size() < kMagicSize + 8 ||
-      std::memcmp(data.data(), magic, kMagicSize) != 0) {
-    return Status::Corruption(std::string("not a ") + what + " file: " +
-                              path);
-  }
-  uint32_t len;
-  std::memcpy(&len, data.data() + kMagicSize, sizeof len);
-  if (data.size() < kMagicSize + 4 + len + 4) {
-    return Status::Corruption(std::string(what) + " truncated: " + path);
-  }
-  const char* body = data.data() + kMagicSize + 4;
-  uint32_t stored_crc;
-  std::memcpy(&stored_crc, body + len, sizeof stored_crc);
-  if (Crc32(body, len) != stored_crc) {
-    return Status::Corruption(std::string(what) + " CRC mismatch: " + path);
-  }
-  return std::string(body, len);
-}
-
 }  // namespace
 
-std::string EncodeSnapshot(const SnapshotState& state) {
+std::string EncodeSnapshot(const Snapshot& record) {
   DictWriter dict;
   ByteWriter body;
-  body.U32(dict.IdOf(state.site));
-  body.I64(state.taken_at_ms);
-  body.U64(state.journal_records);
-  body.I64(state.translator_write_cursor_ms);
+  body.U32(dict.IdOf(record.site));
+  body.I64(record.taken_at_ms);
+  body.U8(record.parent_records ? 1 : 0);
+  if (record.parent_records) body.U64(*record.parent_records);
+  body.U64(record.journal_records);
 
-  body.U32(static_cast<uint32_t>(state.lhs_rules.size()));
-  for (const auto& r : state.lhs_rules) {
+  body.U32(static_cast<uint32_t>(record.lhs_rules.size()));
+  for (const auto& r : record.lhs_rules) {
     body.I64(r.rule_id);
     body.U32(dict.IdOf(r.rhs_site));
     body.Str(r.text);
   }
-  body.U32(static_cast<uint32_t>(state.rhs_rules.size()));
-  for (const auto& r : state.rhs_rules) {
+  body.U32(static_cast<uint32_t>(record.rhs_rules.size()));
+  for (const auto& r : record.rhs_rules) {
     body.I64(r.rule_id);
     body.Str(r.text);
   }
-  body.U32(static_cast<uint32_t>(state.periodic.size()));
-  for (const auto& p : state.periodic) {
+  body.U32(static_cast<uint32_t>(record.periodic.size()));
+  for (const auto& p : record.periodic) {
     body.I64(p.rule_id);
     body.I64(p.period_ms);
     body.I64(p.next_fire_ms);
   }
-  body.U32(static_cast<uint32_t>(state.private_data.size()));
-  for (const auto& [item, value] : state.private_data) {
+  body.U32(static_cast<uint32_t>(record.private_data.size()));
+  for (const auto& [item, value] : record.private_data) {
     PutItem(&body, &dict, item);
     body.Val(value);
   }
-  body.U32(static_cast<uint32_t>(state.fires.size()));
-  for (const auto& f : state.fires) PutFire(&body, &dict, f);
-  body.U32(static_cast<uint32_t>(state.guarantees.size()));
-  for (const auto& g : state.guarantees) {
-    body.Str(g.key);
-    body.U8(g.valid ? 1 : 0);
+  body.U32(static_cast<uint32_t>(record.private_tombstones.size()));
+  for (const auto& item : record.private_tombstones) {
+    PutItem(&body, &dict, item);
+  }
+  body.U32(static_cast<uint32_t>(record.fires.size()));
+  for (const auto& f : record.fires) PutFire(&body, &dict, f);
+  body.U32(static_cast<uint32_t>(record.ended_fires.size()));
+  for (uint64_t seq : record.ended_fires) body.U64(seq);
+  body.U8(record.translator_write_cursor_ms ? 1 : 0);
+  if (record.translator_write_cursor_ms) {
+    body.I64(*record.translator_write_cursor_ms);
+  }
+  body.U8(record.guarantees ? 1 : 0);
+  if (record.guarantees) {
+    body.U32(static_cast<uint32_t>(record.guarantees->size()));
+    for (const auto& g : *record.guarantees) {
+      body.Str(g.key);
+      body.U8(g.valid ? 1 : 0);
+    }
   }
 
   // Final layout: version, dictionary table, then the sections that
@@ -190,7 +147,7 @@ std::string EncodeSnapshot(const SnapshotState& state) {
   return out.Take() + body.Take();
 }
 
-Result<SnapshotState> DecodeSnapshot(const std::string& bytes) {
+Result<Snapshot> DecodeSnapshot(const std::string& bytes) {
   ByteReader r(bytes);
   if (r.U32() != kFormatVersion) {
     return Status::Corruption("unsupported snapshot version");
@@ -202,11 +159,11 @@ Result<SnapshotState> DecodeSnapshot(const std::string& bytes) {
     return id < dict.size() ? dict[id] : std::string();
   };
 
-  SnapshotState state;
-  state.site = name(r.U32());
-  state.taken_at_ms = r.I64();
-  state.journal_records = r.U64();
-  state.translator_write_cursor_ms = r.I64();
+  Snapshot record;
+  record.site = name(r.U32());
+  record.taken_at_ms = r.I64();
+  if (r.U8() != 0) record.parent_records = r.U64();
+  record.journal_records = r.U64();
 
   uint32_t n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -214,14 +171,14 @@ Result<SnapshotState> DecodeSnapshot(const std::string& bytes) {
     rule.rule_id = r.I64();
     rule.rhs_site = name(r.U32());
     rule.text = r.Str();
-    state.lhs_rules.push_back(std::move(rule));
+    record.lhs_rules.push_back(std::move(rule));
   }
   n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     RhsRuleInstall rule;
     rule.rule_id = r.I64();
     rule.text = r.Str();
-    state.rhs_rules.push_back(std::move(rule));
+    record.rhs_rules.push_back(std::move(rule));
   }
   n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
@@ -229,194 +186,62 @@ Result<SnapshotState> DecodeSnapshot(const std::string& bytes) {
     p.rule_id = r.I64();
     p.period_ms = r.I64();
     p.next_fire_ms = r.I64();
-    state.periodic.push_back(p);
+    record.periodic.push_back(p);
   }
   n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
     rule::ItemId item = GetItem(&r, dict);
     Value value = r.Val();
-    state.private_data.emplace_back(std::move(item), std::move(value));
+    record.private_data.emplace_back(std::move(item), std::move(value));
   }
   n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    state.fires.push_back(GetFire(&r, dict));
+    record.private_tombstones.push_back(GetItem(&r, dict));
   }
   n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    GuaranteeStatus g;
-    g.key = r.Str();
-    g.valid = r.U8() != 0;
-    state.guarantees.push_back(std::move(g));
-  }
-  if (!r.ok()) return Status::Corruption("snapshot body truncated");
-  return state;
-}
-
-std::string EncodeDelta(const SnapshotDelta& delta) {
-  DictWriter dict;
-  ByteWriter body;
-  body.U32(dict.IdOf(delta.site));
-  body.I64(delta.taken_at_ms);
-  body.U64(delta.parent_records);
-  body.U64(delta.journal_records);
-
-  body.U32(static_cast<uint32_t>(delta.lhs_rules.size()));
-  for (const auto& r : delta.lhs_rules) {
-    body.I64(r.rule_id);
-    body.U32(dict.IdOf(r.rhs_site));
-    body.Str(r.text);
-  }
-  body.U32(static_cast<uint32_t>(delta.rhs_rules.size()));
-  for (const auto& r : delta.rhs_rules) {
-    body.I64(r.rule_id);
-    body.Str(r.text);
-  }
-  body.U32(static_cast<uint32_t>(delta.periodic.size()));
-  for (const auto& p : delta.periodic) {
-    body.I64(p.rule_id);
-    body.I64(p.period_ms);
-    body.I64(p.next_fire_ms);
-  }
-  body.U32(static_cast<uint32_t>(delta.private_upserts.size()));
-  for (const auto& [item, value] : delta.private_upserts) {
-    PutItem(&body, &dict, item);
-    body.Val(value);
-  }
-  body.U32(static_cast<uint32_t>(delta.private_tombstones.size()));
-  for (const auto& item : delta.private_tombstones) {
-    PutItem(&body, &dict, item);
-  }
-  body.U32(static_cast<uint32_t>(delta.fires.size()));
-  for (const auto& f : delta.fires) PutFire(&body, &dict, f);
-  body.U32(static_cast<uint32_t>(delta.ended_fires.size()));
-  for (uint64_t seq : delta.ended_fires) body.U64(seq);
-  body.U8(delta.has_translator_cursor ? 1 : 0);
-  if (delta.has_translator_cursor) body.I64(delta.translator_write_cursor_ms);
-  body.U8(delta.has_guarantees ? 1 : 0);
-  if (delta.has_guarantees) {
-    body.U32(static_cast<uint32_t>(delta.guarantees.size()));
-    for (const auto& g : delta.guarantees) {
-      body.Str(g.key);
-      body.U8(g.valid ? 1 : 0);
-    }
-  }
-
-  ByteWriter out;
-  out.U32(kFormatVersion);
-  dict.EmitTable(&out);
-  return out.Take() + body.Take();
-}
-
-Result<SnapshotDelta> DecodeDelta(const std::string& bytes) {
-  ByteReader r(bytes);
-  if (r.U32() != kFormatVersion) {
-    return Status::Corruption("unsupported delta version");
-  }
-  std::vector<std::string> dict;
-  uint32_t dict_size = r.U32();
-  for (uint32_t i = 0; i < dict_size && r.ok(); ++i) dict.push_back(r.Str());
-  auto name = [&dict](uint32_t id) -> std::string {
-    return id < dict.size() ? dict[id] : std::string();
-  };
-
-  SnapshotDelta delta;
-  delta.site = name(r.U32());
-  delta.taken_at_ms = r.I64();
-  delta.parent_records = r.U64();
-  delta.journal_records = r.U64();
-
-  uint32_t n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    LhsRuleInstall rule;
-    rule.rule_id = r.I64();
-    rule.rhs_site = name(r.U32());
-    rule.text = r.Str();
-    delta.lhs_rules.push_back(std::move(rule));
+    record.fires.push_back(GetFire(&r, dict));
   }
   n = r.U32();
   for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    RhsRuleInstall rule;
-    rule.rule_id = r.I64();
-    rule.text = r.Str();
-    delta.rhs_rules.push_back(std::move(rule));
+    record.ended_fires.push_back(r.U64());
   }
-  n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    PeriodicTimer p;
-    p.rule_id = r.I64();
-    p.period_ms = r.I64();
-    p.next_fire_ms = r.I64();
-    delta.periodic.push_back(p);
-  }
-  n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    rule::ItemId item = GetItem(&r, dict);
-    Value value = r.Val();
-    delta.private_upserts.emplace_back(std::move(item), std::move(value));
-  }
-  n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    delta.private_tombstones.push_back(GetItem(&r, dict));
-  }
-  n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    delta.fires.push_back(GetFire(&r, dict));
-  }
-  n = r.U32();
-  for (uint32_t i = 0; i < n && r.ok(); ++i) {
-    delta.ended_fires.push_back(r.U64());
-  }
-  delta.has_translator_cursor = r.U8() != 0;
-  if (delta.has_translator_cursor) {
-    delta.translator_write_cursor_ms = r.I64();
-  }
-  delta.has_guarantees = r.U8() != 0;
-  if (delta.has_guarantees) {
+  if (r.U8() != 0) record.translator_write_cursor_ms = r.I64();
+  if (r.U8() != 0) {
+    record.guarantees.emplace();
     n = r.U32();
     for (uint32_t i = 0; i < n && r.ok(); ++i) {
       GuaranteeStatus g;
       g.key = r.Str();
       g.valid = r.U8() != 0;
-      delta.guarantees.push_back(std::move(g));
+      record.guarantees->push_back(std::move(g));
     }
   }
-  if (!r.ok()) return Status::Corruption("delta body truncated");
-  return delta;
+  if (!r.ok()) return Status::Corruption("snapshot body truncated");
+  return record;
 }
 
-void FoldState::Load(const SnapshotState& base) {
-  taken_at_ms = base.taken_at_ms;
-  translator_write_cursor_ms = base.translator_write_cursor_ms;
-  guarantees = base.guarantees;
-  for (const auto& r : base.lhs_rules) lhs[r.rule_id] = r;
-  for (const auto& r : base.rhs_rules) rhs[r.rule_id] = r;
-  for (const auto& p : base.periodic) periodic[p.rule_id] = p;
-  for (const auto& [item, value] : base.private_data) {
+void FoldState::Apply(const Snapshot& record) {
+  if (record.is_base()) *this = FoldState();
+  taken_at_ms = record.taken_at_ms;
+  for (const auto& r : record.lhs_rules) lhs[r.rule_id] = r;
+  for (const auto& r : record.rhs_rules) rhs[r.rule_id] = r;
+  for (const auto& p : record.periodic) periodic[p.rule_id] = p;
+  for (const auto& [item, value] : record.private_data) {
     private_data[item] = value;
   }
-  for (const auto& f : base.fires) fires[f.seq] = f;
+  for (const auto& item : record.private_tombstones) private_data.erase(item);
+  for (const auto& f : record.fires) fires[f.seq] = f;
+  for (uint64_t seq : record.ended_fires) fires.erase(seq);
+  if (record.translator_write_cursor_ms) {
+    translator_write_cursor_ms = *record.translator_write_cursor_ms;
+  }
+  if (record.guarantees) guarantees = *record.guarantees;
 }
 
-void FoldState::Apply(const SnapshotDelta& delta) {
-  taken_at_ms = delta.taken_at_ms;
-  for (const auto& r : delta.lhs_rules) lhs[r.rule_id] = r;
-  for (const auto& r : delta.rhs_rules) rhs[r.rule_id] = r;
-  for (const auto& p : delta.periodic) periodic[p.rule_id] = p;
-  for (const auto& [item, value] : delta.private_upserts) {
-    private_data[item] = value;
-  }
-  for (const auto& item : delta.private_tombstones) private_data.erase(item);
-  for (const auto& f : delta.fires) fires[f.seq] = f;
-  for (uint64_t seq : delta.ended_fires) fires.erase(seq);
-  if (delta.has_translator_cursor) {
-    translator_write_cursor_ms = delta.translator_write_cursor_ms;
-  }
-  if (delta.has_guarantees) guarantees = delta.guarantees;
-}
-
-SnapshotState FoldState::ToState(const std::string& site,
-                                 uint64_t journal_records) const {
-  SnapshotState s;
+Snapshot FoldState::ToState(const std::string& site,
+                            uint64_t journal_records) const {
+  Snapshot s;
   s.site = site;
   s.taken_at_ms = taken_at_ms;
   s.journal_records = journal_records;
@@ -432,25 +257,66 @@ SnapshotState FoldState::ToState(const std::string& site,
   return s;
 }
 
-Status WriteSnapshotFile(const std::string& path,
-                         const SnapshotState& state) {
-  return WriteFramedFile(path, kSnapshotMagic, EncodeSnapshot(state));
+// Crash-atomic: magic | u32 len | body | u32 crc is staged in
+// "<path>.tmp" and renamed over the final name only once every byte has
+// reached the OS. Recovery never sees a half-written file under a name it
+// would load.
+Status WriteSnapshotFile(const std::string& path, const Snapshot& record) {
+  const std::string body = EncodeSnapshot(record);
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return Status::Internal("cannot create " + tmp);
+  uint32_t len = static_cast<uint32_t>(body.size());
+  uint32_t crc = Crc32(body.data(), body.size());
+  bool ok = std::fwrite(kSnapshotMagic, 1, kMagicSize, f) == kMagicSize &&
+            std::fwrite(&len, 1, sizeof len, f) == sizeof len &&
+            std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
+            std::fwrite(&crc, 1, sizeof crc, f) == sizeof crc;
+  ok = std::fflush(f) == 0 && ok;
+  ok = std::fclose(f) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return Status::Internal("short write to " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::Internal("cannot rename " + tmp + " into place");
+  }
+  return Status::OK();
 }
 
-Result<SnapshotState> ReadSnapshotFile(const std::string& path) {
-  HCM_ASSIGN_OR_RETURN(std::string body,
-                       ReadFramedFile(path, kSnapshotMagic, "snapshot"));
-  return DecodeSnapshot(body);
-}
-
-Status WriteDeltaFile(const std::string& path, const SnapshotDelta& delta) {
-  return WriteFramedFile(path, kDeltaMagic, EncodeDelta(delta));
-}
-
-Result<SnapshotDelta> ReadDeltaFile(const std::string& path) {
-  HCM_ASSIGN_OR_RETURN(std::string body,
-                       ReadFramedFile(path, kDeltaMagic, "delta"));
-  return DecodeDelta(body);
+Result<Snapshot> ReadSnapshotFile(const std::string& path,
+                                  SnapshotKind kind) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return Status::NotFound("no snapshot at " + path);
+  std::string data;
+  char buf[1 << 16];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) data.append(buf, got);
+  std::fclose(f);
+  if (data.size() < kMagicSize + 8 ||
+      std::memcmp(data.data(), kSnapshotMagic, kMagicSize) != 0) {
+    return Status::Corruption("not a snapshot file: " + path);
+  }
+  uint32_t len;
+  std::memcpy(&len, data.data() + kMagicSize, sizeof len);
+  if (data.size() < kMagicSize + 4 + len + 4) {
+    return Status::Corruption("snapshot truncated: " + path);
+  }
+  const char* body = data.data() + kMagicSize + 4;
+  uint32_t stored_crc;
+  std::memcpy(&stored_crc, body + len, sizeof stored_crc);
+  if (Crc32(body, len) != stored_crc) {
+    return Status::Corruption("snapshot CRC mismatch: " + path);
+  }
+  HCM_ASSIGN_OR_RETURN(Snapshot record,
+                       DecodeSnapshot(std::string(body, len)));
+  if (record.is_base() != (kind == SnapshotKind::kBase)) {
+    return Status::Corruption(
+        std::string(record.is_base() ? "a base" : "a delta") + " where " +
+        (record.is_base() ? "a delta" : "a base") + " was expected: " + path);
+  }
+  return record;
 }
 
 }  // namespace hcm::storage

@@ -819,70 +819,53 @@ Result<Shell::RecoverySummary> Shell::Recover() {
   return sum;
 }
 
-storage::SnapshotState Shell::BuildSnapshot() const {
-  storage::SnapshotState s;
+storage::Snapshot Shell::BuildSnapshot(bool full) const {
+  storage::Snapshot s;
   s.site = site_;
   s.taken_at_ms = executor_->now().millis();
-  s.lhs_rules.reserve(lhs_rules_.size());
-  for (const LhsEntry& entry : lhs_rules_) {
+  // A delta's parent is stamped by SiteStore::WriteSnapshot (the chain tip).
+  if (!full) s.parent_records = 0;
+  // LHS installs are append-only; everything past the watermark is new.
+  for (size_t i = full ? 0 : lhs_clean_count_; i < lhs_rules_.size(); ++i) {
+    const LhsEntry& entry = lhs_rules_[i];
     s.lhs_rules.push_back(storage::LhsRuleInstall{
         entry.rule.id, entry.rhs_site, entry.rule.ToString()});
   }
-  s.rhs_rules.reserve(rhs_rules_.size());
-  for (const auto& [id, r] : rhs_rules_) {
-    s.rhs_rules.push_back(storage::RhsRuleInstall{id, r.ToString()});
-  }
-  for (const auto& [id, timer] : periodic_state_) {
-    (void)id;
-    s.periodic.push_back(timer);
-  }
-  s.private_data.reserve(private_data_.size());
-  for (const auto& [item, value] : private_data_) {
-    s.private_data.emplace_back(item, value);
-  }
-  for (const auto& [seq, f] : outstanding_fires_) {
-    (void)seq;
-    s.fires.push_back(f);
-  }
-  return s;
-}
-
-storage::SnapshotDelta Shell::BuildDelta() const {
-  storage::SnapshotDelta d;
-  d.site = site_;
-  d.taken_at_ms = executor_->now().millis();
-  // LHS installs are append-only; everything past the watermark is new.
-  for (size_t i = lhs_clean_count_; i < lhs_rules_.size(); ++i) {
-    const LhsEntry& entry = lhs_rules_[i];
-    d.lhs_rules.push_back(storage::LhsRuleInstall{
-        entry.rule.id, entry.rhs_site, entry.rule.ToString()});
+  if (full) {
+    for (const auto& [id, r] : rhs_rules_) {
+      s.rhs_rules.push_back(storage::RhsRuleInstall{id, r.ToString()});
+    }
+    for (const auto& [id, timer] : periodic_state_) s.periodic.push_back(timer);
+    s.private_data.assign(private_data_.begin(), private_data_.end());
+    for (const auto& [seq, f] : outstanding_fires_) s.fires.push_back(f);
+    return s;
   }
   for (int64_t id : rhs_dirty_) {
     auto it = rhs_rules_.find(id);
     if (it != rhs_rules_.end()) {
-      d.rhs_rules.push_back(storage::RhsRuleInstall{id, it->second.ToString()});
+      s.rhs_rules.push_back(storage::RhsRuleInstall{id, it->second.ToString()});
     }
   }
   for (int64_t id : periodic_dirty_) {
     auto it = periodic_state_.find(id);
-    if (it != periodic_state_.end()) d.periodic.push_back(it->second);
+    if (it != periodic_state_.end()) s.periodic.push_back(it->second);
   }
   for (const rule::ItemId& item : private_dirty_) {
     auto it = private_data_.find(item);
     if (it != private_data_.end()) {
-      d.private_upserts.emplace_back(item, it->second);
+      s.private_data.emplace_back(item, it->second);
     } else {
       // No deletion path exists today, but a dirty mark without a live
       // entry must still reach the chain as a removal, not vanish.
-      d.private_tombstones.push_back(item);
+      s.private_tombstones.push_back(item);
     }
   }
   for (uint64_t seq : fires_dirty_) {
     auto it = outstanding_fires_.find(seq);
-    if (it != outstanding_fires_.end()) d.fires.push_back(it->second);
+    if (it != outstanding_fires_.end()) s.fires.push_back(it->second);
   }
-  d.ended_fires = fires_ended_;
-  return d;
+  s.ended_fires = fires_ended_;
+  return s;
 }
 
 void Shell::NoteCheckpoint() {

@@ -165,19 +165,16 @@ class Shell {
   Result<RecoverySummary> Recover();
 
   // Captures this shell's recoverable state (rules, timers, private data,
-  // outstanding fires). The System layers on the registry statuses and the
-  // translator cursor before handing it to SiteStore::WriteSnapshot.
-  storage::SnapshotState BuildSnapshot() const;
-
-  // Captures only the entries changed since the last NoteCheckpoint — the
-  // O(changes) twin of BuildSnapshot, fed by the dirty tracking below
-  // (DESIGN.md §4h). The System layers on guarantees + translator cursor
-  // and hands it to SiteStore::WriteDelta.
-  storage::SnapshotDelta BuildDelta() const;
+  // outstanding fires): all of it as a base record when `full`, else only
+  // the entries changed since the last NoteCheckpoint as a delta, fed by
+  // the dirty tracking below (DESIGN.md §4h). The System layers on the
+  // registry statuses and the translator cursor before handing the record
+  // to SiteStore::WriteSnapshot.
+  storage::Snapshot BuildSnapshot(bool full) const;
 
   // Marks the dirty-tracking epoch: called by the System after a
   // checkpoint (base or delta) durably covers the current state. Clears
-  // every dirty set, so the next BuildDelta enumerates only changes from
+  // every dirty set, so the next delta enumerates only changes from
   // this instant.
   void NoteCheckpoint();
 

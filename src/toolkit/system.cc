@@ -559,32 +559,19 @@ Status System::CheckpointSite(const std::string& site) {
   // the store has no chain yet, and on the first checkpoint after a
   // recovery (the dirty tracker cannot cover the replayed gap). Otherwise
   // the checkpoint is an O(changes) delta extending the chain.
-  if (!options_.storage.delta_snapshots || store->needs_base()) {
-    storage::SnapshotState state = shell->BuildSnapshot();
-    // The shell only knows its own state; the System layers on the pieces
-    // it owns — registry statuses and the translator's write cursor.
-    for (const auto& [key, valid] : guarantee_status_.StatusSnapshot()) {
-      state.guarantees.push_back(storage::GuaranteeStatus{key, valid});
-    }
-    auto tr = translators_.find(site);
-    if (tr != translators_.end()) {
-      state.translator_write_cursor_ms = tr->second->write_cursor().millis();
-    }
-    HCM_RETURN_IF_ERROR(store->WriteSnapshot(std::move(state)));
-    shell->NoteCheckpoint();
-    return Status::OK();
-  }
-  storage::SnapshotDelta delta = shell->BuildDelta();
-  delta.has_guarantees = true;
+  storage::Snapshot record = shell->BuildSnapshot(
+      !options_.storage.delta_snapshots || store->needs_base());
+  // The shell only knows its own state; the System layers on the pieces it
+  // owns — registry statuses and the translator's write cursor.
+  record.guarantees.emplace();
   for (const auto& [key, valid] : guarantee_status_.StatusSnapshot()) {
-    delta.guarantees.push_back(storage::GuaranteeStatus{key, valid});
+    record.guarantees->push_back(storage::GuaranteeStatus{key, valid});
   }
   auto tr = translators_.find(site);
   if (tr != translators_.end()) {
-    delta.has_translator_cursor = true;
-    delta.translator_write_cursor_ms = tr->second->write_cursor().millis();
+    record.translator_write_cursor_ms = tr->second->write_cursor().millis();
   }
-  HCM_ASSIGN_OR_RETURN(bool written, store->WriteDelta(std::move(delta)));
+  HCM_ASSIGN_OR_RETURN(bool written, store->WriteSnapshot(std::move(record)));
   // A skipped delta (quiet site) keeps its dirty state; the next period
   // folds it in.
   if (written) shell->NoteCheckpoint();

@@ -179,6 +179,28 @@ TEST(JournalTest, CrcMismatchStopsTheScan) {
   EXPECT_EQ(scan->records[0].payload, "good");
 }
 
+// A full disk must surface as an error, never as a commit: a batch the OS
+// refused would otherwise inflate records_committed() and, through it,
+// the record counts that snapshot files are numbered by.
+TEST(JournalTest, FullDiskFailsOpenAndFlushWithoutCommitting) {
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full on this platform";
+  }
+  {
+    JournalWriter w;
+    EXPECT_FALSE(w.Open("/dev/full").ok());  // the header flush fails
+    EXPECT_FALSE(w.is_open());
+  }
+  JournalWriter w;
+  ASSERT_TRUE(w.Open("/dev/full", /*existing_bytes=*/8).ok());
+  w.Append(RecordType::kFireEnd, "lost");
+  EXPECT_FALSE(w.Flush().ok());
+  EXPECT_EQ(w.records_committed(), 0u);
+  EXPECT_EQ(w.commits(), 0u);
+  EXPECT_EQ(w.buffered_records(), 1u);
+  EXPECT_FALSE(w.Close().ok());
+}
+
 TEST(JournalTest, MissingFileIsNotFoundAndGarbageHeaderRejected) {
   EXPECT_EQ(ReadJournal(TestPath("journal_nope.wal")).status().code(),
             StatusCode::kNotFound);

@@ -19,8 +19,8 @@ std::string TestPath(const std::string& name) {
   return path;
 }
 
-SnapshotState SampleState() {
-  SnapshotState s;
+Snapshot SampleState() {
+  Snapshot s;
   s.site = "B";
   s.taken_at_ms = 123456;
   s.journal_records = 42;
@@ -42,14 +42,16 @@ SnapshotState SampleState() {
   f.binding.emplace_back("y", Value::Int(50000));
   s.fires.push_back(std::move(f));
   s.translator_write_cursor_ms = 110000;
-  s.guarantees.push_back({"G1@B", true});
-  s.guarantees.push_back({"G2@B", false});
+  s.guarantees.emplace();
+  s.guarantees->push_back({"G1@B", true});
+  s.guarantees->push_back({"G2@B", false});
   return s;
 }
 
-void ExpectStatesEqual(const SnapshotState& a, const SnapshotState& b) {
+void ExpectStatesEqual(const Snapshot& a, const Snapshot& b) {
   EXPECT_EQ(a.site, b.site);
   EXPECT_EQ(a.taken_at_ms, b.taken_at_ms);
+  EXPECT_EQ(a.parent_records, b.parent_records);
   EXPECT_EQ(a.journal_records, b.journal_records);
   ASSERT_EQ(a.lhs_rules.size(), b.lhs_rules.size());
   for (size_t i = 0; i < a.lhs_rules.size(); ++i) {
@@ -82,23 +84,27 @@ void ExpectStatesEqual(const SnapshotState& a, const SnapshotState& b) {
     EXPECT_EQ(a.fires[i].next_step, b.fires[i].next_step);
     EXPECT_EQ(a.fires[i].binding, b.fires[i].binding);
   }
+  EXPECT_EQ(a.private_tombstones, b.private_tombstones);
+  EXPECT_EQ(a.ended_fires, b.ended_fires);
   EXPECT_EQ(a.translator_write_cursor_ms, b.translator_write_cursor_ms);
-  ASSERT_EQ(a.guarantees.size(), b.guarantees.size());
-  for (size_t i = 0; i < a.guarantees.size(); ++i) {
-    EXPECT_EQ(a.guarantees[i].key, b.guarantees[i].key);
-    EXPECT_EQ(a.guarantees[i].valid, b.guarantees[i].valid);
+  ASSERT_EQ(a.guarantees.has_value(), b.guarantees.has_value());
+  if (!a.guarantees) return;
+  ASSERT_EQ(a.guarantees->size(), b.guarantees->size());
+  for (size_t i = 0; i < a.guarantees->size(); ++i) {
+    EXPECT_EQ((*a.guarantees)[i].key, (*b.guarantees)[i].key);
+    EXPECT_EQ((*a.guarantees)[i].valid, (*b.guarantees)[i].valid);
   }
 }
 
 TEST(SnapshotTest, BodyRoundTrips) {
-  SnapshotState in = SampleState();
+  Snapshot in = SampleState();
   auto out = DecodeSnapshot(EncodeSnapshot(in));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectStatesEqual(in, *out);
 }
 
 TEST(SnapshotTest, EmptyStateRoundTrips) {
-  SnapshotState in;
+  Snapshot in;
   in.site = "A";
   auto out = DecodeSnapshot(EncodeSnapshot(in));
   ASSERT_TRUE(out.ok()) << out.status().ToString();
@@ -107,9 +113,9 @@ TEST(SnapshotTest, EmptyStateRoundTrips) {
 
 TEST(SnapshotTest, FileRoundTrips) {
   std::string path = TestPath("snapshot_roundtrip.snap");
-  SnapshotState in = SampleState();
+  Snapshot in = SampleState();
   ASSERT_TRUE(WriteSnapshotFile(path, in).ok());
-  auto out = ReadSnapshotFile(path);
+  auto out = ReadSnapshotFile(path, SnapshotKind::kBase);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectStatesEqual(in, *out);
 }
@@ -134,7 +140,7 @@ TEST(SnapshotTest, CorruptFileIsRejected) {
     ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
     std::fclose(f);
   }
-  EXPECT_FALSE(ReadSnapshotFile(path).ok());
+  EXPECT_FALSE(ReadSnapshotFile(path, SnapshotKind::kBase).ok());
   // A truncated file is rejected too.
   {
     std::FILE* f = std::fopen(path.c_str(), "wb");
@@ -142,8 +148,9 @@ TEST(SnapshotTest, CorruptFileIsRejected) {
     ASSERT_EQ(std::fwrite(bytes.data(), 1, 10, f), 10u);
     std::fclose(f);
   }
-  EXPECT_FALSE(ReadSnapshotFile(path).ok());
-  EXPECT_EQ(ReadSnapshotFile(TestPath("snapshot_missing.snap"))
+  EXPECT_FALSE(ReadSnapshotFile(path, SnapshotKind::kBase).ok());
+  EXPECT_EQ(ReadSnapshotFile(TestPath("snapshot_missing.snap"),
+                             SnapshotKind::kBase)
                 .status()
                 .code(),
             StatusCode::kNotFound);
@@ -201,7 +208,7 @@ TEST(SiteStoreRecoveryTest, SnapshotSeqStaysAccurateAcrossRecoveries) {
   TimePoint t = TimePoint::FromMillis(0);
   (*store)->LogPrivateWrite(rule::ItemId{"a", {}}, Value::Int(1), t);
   ASSERT_TRUE((*store)->journal().Flush().ok());
-  SnapshotState snap1;  // the caller snapshots its full live state
+  Snapshot snap1;  // the caller snapshots its full live state
   snap1.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
   ASSERT_TRUE((*store)->WriteSnapshot(std::move(snap1)).ok());
   ASSERT_TRUE((*store)->Recover().ok());
@@ -211,7 +218,7 @@ TEST(SiteStoreRecoveryTest, SnapshotSeqStaysAccurateAcrossRecoveries) {
   // seq makes a later recovery skip replaying real records.
   (*store)->LogPrivateWrite(rule::ItemId{"b", {}}, Value::Int(2), t);
   ASSERT_TRUE((*store)->journal().Flush().ok());
-  SnapshotState snap2;
+  Snapshot snap2;
   snap2.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
   snap2.private_data.emplace_back(rule::ItemId{"b", {}}, Value::Int(2));
   ASSERT_TRUE((*store)->WriteSnapshot(std::move(snap2)).ok());
@@ -248,7 +255,7 @@ TEST(SiteStoreInspectionTest, ReportsRecordsAndSnapshots) {
                             Value::Int(5), t);
   (*store)->LogPrivateWrite(rule::ItemId{"Tb", {Value::Str("n1")}},
                             Value::Int(6), t);
-  SnapshotState snap;
+  Snapshot snap;
   ASSERT_TRUE((*store)->WriteSnapshot(std::move(snap)).ok());
   ASSERT_TRUE((*store)->journal().Close().ok());
 
