@@ -26,7 +26,12 @@ rule::ItemId ReadItem(ByteReader* r, const std::vector<std::string>& dict) {
   return item;
 }
 
-constexpr char kManifestMagic[] = "HCMCHN1";
+// File name of a chain link: `snapshot-<records>.snap` for a base,
+// `delta-<records>.snap` for a delta, the count zero-padded to 20 digits.
+std::string ChainFileName(uint64_t records, bool is_base) {
+  return StrFormat(is_base ? "snapshot-%020llu.snap" : "delta-%020llu.snap",
+                   static_cast<unsigned long long>(records));
+}
 
 // Directory inventory of snapshot-chain files: base and delta files keyed
 // by the journal record count in their names, plus stale .tmp leftovers
@@ -41,17 +46,44 @@ ChainFiles ListChainFiles(const std::string& dir) {
   ChainFiles out;
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string path = entry.path().string();
     std::string name = entry.path().filename().string();
+    const bool tmp =
+        name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0;
+    if (tmp) name.resize(name.size() - 4);
+    // sscanf ignores trailing characters, so a name counts only when it is
+    // exactly what ChainFileName writes, or that plus the `.tmp` of an
+    // interrupted atomic write: an operator's `.bak` copy or `notes.tmp`
+    // is not a chain file.
     unsigned long long seq = 0;
-    if (name.size() > 4 && name.compare(name.size() - 4, 4, ".tmp") == 0) {
-      out.tmps.push_back(entry.path().string());
-    } else if (std::sscanf(name.c_str(), "snapshot-%llu.snap", &seq) == 1) {
-      out.bases.emplace(seq, entry.path().string());
-    } else if (std::sscanf(name.c_str(), "delta-%llu.snap", &seq) == 1) {
-      out.deltas.emplace(seq, entry.path().string());
+    const bool base = std::sscanf(name.c_str(), "snapshot-%llu", &seq) == 1 &&
+                      name == ChainFileName(seq, true);
+    const bool delta = !base &&
+                       std::sscanf(name.c_str(), "delta-%llu", &seq) == 1 &&
+                       name == ChainFileName(seq, false);
+    if (tmp && (base || delta)) {
+      out.tmps.push_back(path);
+    } else if (base) {
+      out.bases.emplace(seq, path);
+    } else if (delta) {
+      out.deltas.emplace(seq, path);
     }
   }
   return out;
+}
+
+// Loads one chain link, which must be of the kind its name says and cover
+// exactly the journal record count its name says.
+Result<Snapshot> LoadLink(const std::string& path, SnapshotKind kind,
+                          uint64_t records) {
+  HCM_ASSIGN_OR_RETURN(Snapshot record, ReadSnapshotFile(path, kind));
+  if (record.journal_records != records) {
+    return Status::Corruption(StrFormat(
+        "%s covers %llu journal records, not the %llu its name says",
+        path.c_str(), static_cast<unsigned long long>(record.journal_records),
+        static_cast<unsigned long long>(records)));
+  }
+  return record;
 }
 
 }  // namespace
@@ -105,9 +137,7 @@ Result<std::unique_ptr<SiteStore>> SiteStore::Open(
 }
 
 std::string SiteStore::ChainPath(const ChainEntry& entry) const {
-  return dir_ + "/" + StrFormat(entry.is_base ? "snapshot-%020llu.snap"
-                                              : "delta-%020llu.snap",
-                                static_cast<unsigned long long>(entry.records));
+  return dir_ + "/" + ChainFileName(entry.records, entry.is_base);
 }
 
 Result<Snapshot> SiteStore::ReadChainFile(const ChainEntry& entry) const {
@@ -216,28 +246,6 @@ void SiteStore::LogFireEnd(uint64_t seq, TimePoint now) {
   Emit(RecordType::kFireEnd, w.Take(), now);
 }
 
-Status SiteStore::WriteManifest() const {
-  std::string body = std::string(kManifestMagic) + "\n";
-  for (const ChainEntry& e : chain_) {
-    body += StrFormat("%c %llu\n", e.is_base ? 'B' : 'D',
-                      static_cast<unsigned long long>(e.records));
-  }
-  // Same crash-atomicity discipline as the snapshot files; the manifest is
-  // advisory, but a torn one must not be mistaken for a short chain.
-  const std::string path = ManifestPath();
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return Status::Internal("cannot create " + tmp);
-  bool ok = std::fwrite(body.data(), 1, body.size(), f) == body.size();
-  ok = std::fflush(f) == 0 && ok;
-  ok = std::fclose(f) == 0 && ok;
-  if (!ok || std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot write manifest " + path);
-  }
-  return Status::OK();
-}
-
 void SiteStore::RetentionGc() {
   ChainFiles files = ListChainFiles(dir_);
   for (const std::string& path : files.tmps) {
@@ -292,7 +300,6 @@ Result<bool> SiteStore::WriteSnapshot(Snapshot record) {
     ++deltas_written_;
   }
   chain_.push_back(entry);
-  HCM_RETURN_IF_ERROR(WriteManifest());
   if (base) {
     RetentionGc();
     ByteWriter w;
@@ -318,7 +325,6 @@ Status SiteStore::Compact() {
   ++compactions_;
   chain_.clear();
   chain_.push_back(tip);
-  HCM_RETURN_IF_ERROR(WriteManifest());
   RetentionGc();
   return Status::OK();
 }
@@ -350,104 +356,45 @@ Result<RecoveredState> SiteStore::Recover() {
   for (const std::string& path : files.tmps) {
     if (std::remove(path.c_str()) == 0) ++snapshot_files_deleted_;
   }
-  for (auto it = files.bases.begin(); it != files.bases.end();) {
-    if (it->first > records) {
+  for (auto* kind : {&files.bases, &files.deltas}) {
+    const auto dead = kind->upper_bound(records);
+    for (auto it = dead; it != kind->end(); ++it) {
       if (std::remove(it->second.c_str()) == 0) ++snapshot_files_deleted_;
-      it = files.bases.erase(it);
-    } else {
-      ++it;
     }
-  }
-  for (auto it = files.deltas.begin(); it != files.deltas.end();) {
-    if (it->first > records) {
-      if (std::remove(it->second.c_str()) == 0) ++snapshot_files_deleted_;
-      it = files.deltas.erase(it);
-    } else {
-      ++it;
-    }
+    kind->erase(dead, kind->end());
   }
 
-  // Resolve the chain to restore from. Fast path: the manifest names the
-  // live chain; trust it only after every element loads and links. Fall
-  // back to a directory scan (newest loadable base, greedily extended by
-  // parent-linked deltas) when the manifest is missing, stale, or damaged.
-  std::vector<Snapshot> records_of_chain;  // base first
+  // Resolve the chain from the directory alone: the newest base that
+  // passes LoadLink, extended in ascending order by every delta that
+  // passes LoadLink and names the current tip as its parent. A file that
+  // fails a check is skipped: a base in favor of an older one (the journal
+  // can always be replayed from further back), a delta as a member of
+  // another (older or broken) chain. Each link folds in as it is found.
+  FoldState fold;
   std::vector<ChainEntry> chain;
-
-  auto try_manifest = [&]() -> bool {
-    std::FILE* f = std::fopen(ManifestPath().c_str(), "rb");
-    if (f == nullptr) return false;
-    std::string text;
-    char buf[4096];
-    size_t got;
-    while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, got);
-    std::fclose(f);
-    if (text.rfind(std::string(kManifestMagic) + "\n", 0) != 0) return false;
-    std::vector<ChainEntry> listed;
-    size_t pos = text.find('\n') + 1;
-    while (pos < text.size()) {
-      size_t eol = text.find('\n', pos);
-      if (eol == std::string::npos) eol = text.size();
-      char kind = 0;
-      unsigned long long seq = 0;
-      if (std::sscanf(text.substr(pos, eol - pos).c_str(), "%c %llu", &kind,
-                      &seq) != 2) {
-        return false;
-      }
-      listed.push_back(ChainEntry{seq, kind == 'B'});
-      pos = eol + 1;
+  for (auto it = files.bases.rbegin(); it != files.bases.rend(); ++it) {
+    auto base = LoadLink(it->second, SnapshotKind::kBase, it->first);
+    if (!base.ok()) {
+      HCM_LOG(Warning) << "skipping snapshot " << it->second << ": "
+                       << base.status().ToString();
+      continue;
     }
-    if (listed.empty() || !listed[0].is_base) return false;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < listed.size(); ++i) {
-      const ChainEntry& e = listed[i];
-      if (e.records > records) return false;  // journal lost the prefix
-      if (i > 0 && (e.is_base || e.records <= prev)) return false;
-      prev = e.records;
-    }
-    std::vector<Snapshot> loaded;
-    for (size_t i = 0; i < listed.size(); ++i) {
-      auto record = ReadChainFile(listed[i]);
-      if (!record.ok() || record->journal_records != listed[i].records ||
-          (i > 0 && record->parent_records != listed[i - 1].records)) {
-        return false;
-      }
-      loaded.push_back(std::move(*record));
-    }
-    records_of_chain = std::move(loaded);
-    chain = std::move(listed);
-    return true;
-  };
-
-  if (!try_manifest()) {
-    for (auto it = files.bases.rbegin(); it != files.bases.rend(); ++it) {
-      auto base = ReadSnapshotFile(it->second, SnapshotKind::kBase);
-      if (!base.ok()) {
-        HCM_LOG(Warning) << "skipping snapshot " << it->second << ": "
-                         << base.status().ToString();
+    fold.Apply(*base);
+    chain.push_back(ChainEntry{it->first, true});
+    for (auto d = files.deltas.upper_bound(it->first); d != files.deltas.end();
+         ++d) {
+      auto delta = LoadLink(d->second, SnapshotKind::kDelta, d->first);
+      if (!delta.ok() || delta->parent_records != chain.back().records) {
         continue;
       }
-      records_of_chain.push_back(std::move(*base));
-      chain.push_back(ChainEntry{it->first, true});
-      uint64_t tip = it->first;
-      for (const auto& [seq, path] : files.deltas) {
-        if (seq <= tip) continue;
-        auto d = ReadSnapshotFile(path, SnapshotKind::kDelta);
-        if (!d.ok() || d->parent_records != tip || d->journal_records != seq) {
-          continue;  // belongs to another (older or broken) chain
-        }
-        records_of_chain.push_back(std::move(*d));
-        chain.push_back(ChainEntry{seq, false});
-        tip = seq;
-      }
-      break;
+      fold.Apply(*delta);
+      chain.push_back(ChainEntry{d->first, false});
     }
+    break;
   }
 
-  // Fold base + deltas, then replay the journal tail over the fold.
-  FoldState fold;
+  // Replay the journal tail over the fold.
   uint64_t max_fire_seq = 0;
-  for (const Snapshot& record : records_of_chain) fold.Apply(record);
   if (!chain.empty()) {
     out.snapshot_found = true;
     out.snapshot_records = chain.back().records;
@@ -649,12 +596,12 @@ Result<JournalInspection> InspectJournalDir(const std::string& site_dir) {
   ChainFiles files = ListChainFiles(site_dir);
   for (const auto& [seq, path] : files.bases) {
     out.snapshots.emplace_back(
-        seq, ReadSnapshotFile(path, SnapshotKind::kBase).ok());
+        seq, LoadLink(path, SnapshotKind::kBase, seq).ok());
   }
   for (const auto& [seq, path] : files.deltas) {
     JournalInspection::DeltaFile d;
     d.records = seq;
-    auto loaded = ReadSnapshotFile(path, SnapshotKind::kDelta);
+    auto loaded = LoadLink(path, SnapshotKind::kDelta, seq);
     d.loadable = loaded.ok();
     if (loaded.ok()) d.parent_records = *loaded->parent_records;
     out.deltas.push_back(d);

@@ -62,11 +62,12 @@ struct RecoveredState {
 // Durable state for one site: an append-only write-ahead journal plus a
 // snapshot chain under `<dir>/<site>/` — numbered base snapshots
 // (`snapshot-<records>.snap`) extended by incremental delta files
-// (`delta-<records>.snap`) linked through `parent_records`, with the
-// current chain listed in `chain.manifest` (advisory; recovery falls back
-// to a directory scan). The typed append helpers encode records (routing
-// repeated strings through a journal-local name dictionary emitted as
-// kSymbolDef records) and group-commit on the simulation clock.
+// (`delta-<records>.snap`) linked through `parent_records`. The file names
+// are the whole chain index: recovery resolves the chain by scanning the
+// directory, so a checkpoint writes one chain file and no index. The typed
+// append helpers encode records (routing repeated strings through a
+// journal-local name dictionary emitted as kSymbolDef records) and
+// group-commit on the simulation clock.
 // Single-writer: under ParallelExecutor only the site's execution lane
 // touches its store, mirroring the recorder sharding rule.
 class SiteStore {
@@ -119,10 +120,13 @@ class SiteStore {
   // replayed gap, so the first post-recovery checkpoint re-bases).
   bool needs_base() const { return chain_.empty() || needs_base_; }
 
-  // Loads the newest usable snapshot chain (manifest fast path, directory
-  // scan fallback), folds base + deltas, replays the journal tail over it,
-  // truncates any torn tail, and re-opens the journal for appending after
-  // the valid prefix. Safe to call on an empty/missing store (fresh state).
+  // Deletes dead-future and .tmp chain files, resolves the chain from a
+  // directory scan (the newest base whose file loads as a base and covers
+  // the record count in its name, extended by each delta that does the same
+  // and links to the tip by parent_records), folds base + deltas, replays
+  // the journal tail over it, truncates any torn tail, and re-opens the
+  // journal for appending after the valid prefix. Safe to call on an
+  // empty/missing store (fresh state).
   Result<RecoveredState> Recover();
 
   // --- Storage stats (surfaced via System::DescribeStorageStats) ---
@@ -156,9 +160,6 @@ class SiteStore {
   // `snapshot-<records>.snap` for a base, `delta-<records>.snap` else.
   std::string ChainPath(const ChainEntry& entry) const;
   Result<Snapshot> ReadChainFile(const ChainEntry& entry) const;
-  std::string ManifestPath() const { return dir_ + "/chain.manifest"; }
-
-  Status WriteManifest() const;
   // Deletes snapshot/delta files older than the keep_snapshots-th newest
   // base (plus stale .tmp leftovers), counting each removal.
   void RetentionGc();
@@ -203,7 +204,9 @@ struct JournalInspection {
   // Decoded kPrivateWrite records in journal order — the site's durable
   // write stream, diffable against the W events of a recorded trace.
   std::vector<std::pair<rule::ItemId, Value>> private_writes;
-  // Snapshot files found: (journal records covered, loadable?).
+  // Snapshot files found: (journal records covered, loadable?), where
+  // loadable means the file loads as its kind and covers the record count
+  // its name says, as recovery requires of a chain link.
   std::vector<std::pair<uint64_t, bool>> snapshots;
   // Delta files found: (records covered, parent records, loadable?).
   struct DeltaFile {

@@ -1,12 +1,16 @@
 // Delta-snapshot chains: codec round-trips, crash-atomic file writes,
 // chain-vs-compacted recovery equivalence, compaction bounds, retention
-// GC, and manifest fallback (docs/STORAGE_FORMAT.md "Snapshot chains").
+// GC, and chain resolution from the directory scan alone: file kind and
+// record count checked against the name, exact names only, and leftover
+// manifests ignored (docs/STORAGE_FORMAT.md "The chain").
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -74,6 +78,26 @@ Snapshot DeltaOf(const std::string& key, int64_t value) {
 
 void WriteRaw(const std::string& path, const std::string& bytes) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+}
+
+// The private-data keys a recovery restored, in ItemId order.
+std::vector<std::string> Keys(const RecoveredState& rec) {
+  std::vector<std::string> keys;
+  for (const auto& [item, value] : rec.state.private_data) {
+    keys.push_back(item.base);
+  }
+  return keys;
+}
+
+using Names = std::vector<std::string>;
+
+// Path of a site-B chain file under `root`.
+std::string ChainFile(const std::string& root, const char* prefix,
+                      uint64_t records) {
+  char path[512];
+  std::snprintf(path, sizeof path, "%s/B/%s-%020llu.snap", root.c_str(),
+                prefix, static_cast<unsigned long long>(records));
+  return path;
 }
 
 TEST(SnapshotDeltaTest, BodyRoundTrips) {
@@ -337,18 +361,129 @@ TEST(SnapshotChainTest, RecoveryFallsBackToScanWithoutManifest) {
     WriteOne(store->get(), key, i);
     ASSERT_TRUE((*store)->WriteSnapshot(DeltaOf(key, i)).ok());
   }
-  // Damage the manifest: recovery must reassemble the same chain from the
-  // directory scan (newest loadable base + parent-linked deltas).
-  std::ofstream(root + "/B/chain.manifest") << "garbage";
+  // Each checkpoint wrote its chain file and nothing else: the directory
+  // is the journal, one base and two deltas.
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(root + "/B"),
+                          std::filesystem::directory_iterator()),
+            4);
+  // Recovery reassembles the chain from the directory scan (newest
+  // loadable base + parent-linked deltas).
   auto rec = (*store)->Recover();
   ASSERT_TRUE(rec.ok()) << rec.status().ToString();
   EXPECT_TRUE(rec->snapshot_found);
   EXPECT_EQ(rec->chain_deltas, 2u);
-  size_t found = 0;
-  for (const auto& [item, value] : rec->state.private_data) {
-    if (item.base.rfind("k", 0) == 0) ++found;
+  EXPECT_EQ(rec->replayed_records, 0u);
+  EXPECT_EQ(Keys(*rec), (Names{"k0", "k1"}));
+}
+
+// A store written while the chain manifest existed may still hold one.
+// Recovery ignores it, even when it lists a shorter chain that would
+// load and link, and restores the directory's full chain.
+TEST(SnapshotChainTest, LeftoverManifestIsIgnored) {
+  std::string root = ScratchDir("hcm_chain_stale_manifest");
+  StorageOptions opts;
+  opts.dir = root;
+  opts.commit_interval = Duration::Millis(1000000);
+  auto store = SiteStore::Open(opts, "B");
+  ASSERT_TRUE(store.ok());
+  WriteOne(store->get(), "a", 1);
+  Snapshot base;
+  base.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
+  ASSERT_TRUE((*store)->WriteSnapshot(std::move(base)).ok());
+  for (int i = 0; i < 3; ++i) {
+    std::string key = "k" + std::to_string(i);
+    WriteOne(store->get(), key, i);
+    ASSERT_TRUE((*store)->WriteSnapshot(DeltaOf(key, i)).ok());
   }
-  EXPECT_EQ(found, 2u);
+  auto inspection = InspectJournalDir(root + "/B");
+  ASSERT_TRUE(inspection.ok());
+  ASSERT_EQ(inspection->snapshots.size(), 1u);
+  ASSERT_EQ(inspection->deltas.size(), 3u);
+  const std::string manifest = root + "/B/chain.manifest";
+  std::ofstream(manifest) << "HCMCHN1\nB " << inspection->snapshots[0].first
+                          << "\nD " << inspection->deltas[0].records << "\n";
+
+  auto rec = (*store)->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->chain_deltas, inspection->deltas.size());
+  EXPECT_EQ(rec->snapshot_records, inspection->deltas.back().records);
+  EXPECT_EQ(rec->replayed_records, 0u);
+  EXPECT_EQ(Keys(*rec), (Names{"a", "k0", "k1", "k2"}));
+  EXPECT_TRUE(std::filesystem::exists(manifest));
+}
+
+// Compaction leaves `snapshot-N` next to the `delta-N` it folded, and the
+// old chain's deltas stay until retention drops their base. The scan
+// starts from the compacted base and attaches only the deltas written
+// after it.
+TEST(SnapshotChainTest, RecoveryAfterCompactionStartsAtCompactedBase) {
+  std::string root = ScratchDir("hcm_chain_compacted_layout");
+  StorageOptions opts;
+  opts.dir = root;
+  opts.commit_interval = Duration::Millis(1000000);
+  auto store = SiteStore::Open(opts, "B");
+  ASSERT_TRUE(store.ok());
+  WriteOne(store->get(), "a", 1);
+  Snapshot base;
+  base.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
+  ASSERT_TRUE((*store)->WriteSnapshot(std::move(base)).ok());
+  for (int i = 0; i < 2; ++i) {
+    std::string key = "k" + std::to_string(i);
+    WriteOne(store->get(), key, i);
+    ASSERT_TRUE((*store)->WriteSnapshot(DeltaOf(key, i)).ok());
+  }
+  ASSERT_TRUE((*store)->Compact().ok());
+  WriteOne(store->get(), "k2", 2);
+  ASSERT_TRUE((*store)->WriteSnapshot(DeltaOf("k2", 2)).ok());
+
+  auto inspection = InspectJournalDir(root + "/B");
+  ASSERT_TRUE(inspection.ok());
+  ASSERT_EQ(inspection->snapshots.size(), 2u);
+  ASSERT_EQ(inspection->deltas.size(), 3u);
+  const uint64_t compacted = inspection->snapshots[1].first;
+  EXPECT_EQ(inspection->deltas[1].records, compacted);
+  EXPECT_EQ(inspection->deltas[2].parent_records, compacted);
+
+  auto rec = (*store)->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->chain_deltas, 1u);
+  EXPECT_EQ(rec->snapshot_records, inspection->deltas[2].records);
+  EXPECT_EQ(Keys(*rec), (Names{"a", "k0", "k1", "k2"}));
+}
+
+// A delta whose rename landed just before the crash, before the store
+// recorded it in its live chain, is part of the chain on recovery.
+TEST(SnapshotChainTest, DeltaLandedBeforeCrashJoinsTheChain) {
+  std::string root = ScratchDir("hcm_chain_late_delta");
+  StorageOptions opts;
+  opts.dir = root;
+  opts.commit_interval = Duration::Millis(1000000);
+  auto store = SiteStore::Open(opts, "B");
+  ASSERT_TRUE(store.ok());
+  WriteOne(store->get(), "a", 1);
+  Snapshot base;
+  base.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
+  ASSERT_TRUE((*store)->WriteSnapshot(std::move(base)).ok());
+  WriteOne(store->get(), "b", 2);
+  auto inspection = InspectJournalDir(root + "/B");
+  ASSERT_TRUE(inspection.ok());
+  ASSERT_EQ(inspection->snapshots.size(), 1u);
+  Snapshot late = DeltaOf("b", 2);
+  late.site = "B";
+  late.parent_records = inspection->snapshots[0].first;
+  late.journal_records = inspection->records;
+  ASSERT_TRUE(WriteSnapshotFile(ChainFile(root, "delta", inspection->records),
+                                late)
+                  .ok());
+  EXPECT_EQ((*store)->chain_length(), 0u);
+
+  auto rec = (*store)->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->chain_deltas, 1u);
+  EXPECT_EQ(rec->snapshot_records, inspection->records);
+  EXPECT_EQ(rec->replayed_records, 0u);
+  EXPECT_EQ(Keys(*rec), (Names{"a", "b"}));
+  EXPECT_EQ((*store)->chain_length(), 1u);
 }
 
 TEST(SnapshotChainTest, TornNewestSnapshotFallsBackToOlderBase) {
@@ -474,32 +609,15 @@ TEST(SnapshotChainTest, InspectionListsDeltaFiles) {
   EXPECT_NE(inspection->ToString().find("delta @"), std::string::npos);
 }
 
-// Path of a site-B chain file under `root`.
-std::string ChainFile(const std::string& root, const char* prefix,
-                      uint64_t records) {
-  char path[512];
-  std::snprintf(path, sizeof path, "%s/B/%s-%020llu.snap", root.c_str(),
-                prefix, static_cast<unsigned long long>(records));
-  return path;
-}
-
-// Recovers twice, through the manifest and then through the directory
-// scan, and expects both to restore from the base at `base_records` with
-// no deltas and the items a and b restored.
-void ExpectRecoveryFromBase(SiteStore* store, const std::string& root,
-                            uint64_t base_records) {
-  for (bool with_manifest : {true, false}) {
-    SCOPED_TRACE(with_manifest ? "manifest" : "directory scan");
-    if (!with_manifest) std::filesystem::remove(root + "/B/chain.manifest");
-    auto rec = store->Recover();
-    ASSERT_TRUE(rec.ok()) << rec.status().ToString();
-    EXPECT_TRUE(rec->snapshot_found);
-    EXPECT_EQ(rec->snapshot_records, base_records);
-    EXPECT_EQ(rec->chain_deltas, 0u);
-    ASSERT_EQ(rec->state.private_data.size(), 2u);
-    EXPECT_EQ(rec->state.private_data[0].first.base, "a");
-    EXPECT_EQ(rec->state.private_data[1].first.base, "b");
-  }
+// Recovers and expects the directory scan to restore from the base at
+// `base_records` with no deltas and the items a and b restored.
+void ExpectRecoveryFromBase(SiteStore* store, uint64_t base_records) {
+  auto rec = store->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_TRUE(rec->snapshot_found);
+  EXPECT_EQ(rec->snapshot_records, base_records);
+  EXPECT_EQ(rec->chain_deltas, 0u);
+  EXPECT_EQ(Keys(*rec), (Names{"a", "b"}));
 }
 
 TEST(SnapshotChainTest, RecoveryRejectsDeltaUnderBaseName) {
@@ -530,7 +648,7 @@ TEST(SnapshotChainTest, RecoveryRejectsDeltaUnderBaseName) {
   impostor.journal_records = newest;
   ASSERT_TRUE(
       WriteSnapshotFile(ChainFile(root, "snapshot", newest), impostor).ok());
-  ExpectRecoveryFromBase(store->get(), root, older);
+  ExpectRecoveryFromBase(store->get(), older);
 }
 
 TEST(SnapshotChainTest, RecoveryRejectsBaseUnderDeltaName) {
@@ -560,7 +678,105 @@ TEST(SnapshotChainTest, RecoveryRejectsBaseUnderDeltaName) {
   ASSERT_TRUE(
       WriteSnapshotFile(ChainFile(root, "delta", delta_records), impostor)
           .ok());
-  ExpectRecoveryFromBase(store->get(), root, base_records);
+  ExpectRecoveryFromBase(store->get(), base_records);
+}
+
+// A base copied under a higher number still within the journal records
+// fewer journal records than its name says. Starting replay at the name
+// would skip the committed write of b; the scan skips the copy instead and
+// restores from the real base.
+TEST(SnapshotChainTest, RecoverySkipsBaseWhoseRecordsDisagreeWithName) {
+  std::string root = ScratchDir("hcm_chain_base_renamed");
+  StorageOptions opts;
+  opts.dir = root;
+  opts.commit_interval = Duration::Millis(1000000);
+  auto store = SiteStore::Open(opts, "B");
+  ASSERT_TRUE(store.ok());
+  WriteOne(store->get(), "a", 1);
+  Snapshot base;
+  base.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
+  ASSERT_TRUE((*store)->WriteSnapshot(std::move(base)).ok());
+  WriteOne(store->get(), "b", 2);
+  WriteOne(store->get(), "c", 3);
+  auto inspection = InspectJournalDir(root + "/B");
+  ASSERT_TRUE(inspection.ok());
+  ASSERT_EQ(inspection->snapshots.size(), 1u);
+  const uint64_t real = inspection->snapshots[0].first;
+  const uint64_t renamed = inspection->records - 1;
+  ASSERT_GT(renamed, real + 2);  // b's write lies between the two
+  std::filesystem::copy_file(ChainFile(root, "snapshot", real),
+                             ChainFile(root, "snapshot", renamed));
+  // The inspector applies the same check and reports the copy unusable.
+  inspection = InspectJournalDir(root + "/B");
+  ASSERT_TRUE(inspection.ok());
+  ASSERT_EQ(inspection->snapshots.size(), 2u);
+  EXPECT_TRUE(inspection->snapshots[0].second);
+  EXPECT_FALSE(inspection->snapshots[1].second);
+
+  auto rec = (*store)->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_TRUE(rec->snapshot_found);
+  EXPECT_EQ(rec->snapshot_records, real);
+  EXPECT_EQ(Keys(*rec), (Names{"a", "b", "c"}));
+}
+
+// Only the exact names the store writes are chain files. An operator's
+// `.bak` copies, one numbered past the journal and one holding a loadable
+// base within it, are never loaded, and neither they nor a `notes.tmp` is
+// deleted or counted by recovery's sweeps or by retention GC.
+TEST(SnapshotChainTest, ChainFilesMatchExactNamesOnly) {
+  std::string root = ScratchDir("hcm_chain_exact_names");
+  StorageOptions opts;
+  opts.dir = root;
+  opts.commit_interval = Duration::Millis(1000000);
+  opts.keep_snapshots = 1;
+  auto store = SiteStore::Open(opts, "B");
+  ASSERT_TRUE(store.ok());
+  WriteOne(store->get(), "a", 1);
+  Snapshot base;
+  base.private_data.emplace_back(rule::ItemId{"a", {}}, Value::Int(1));
+  ASSERT_TRUE((*store)->WriteSnapshot(std::move(base)).ok());
+  WriteOne(store->get(), "b", 2);
+  WriteOne(store->get(), "c", 3);
+  auto inspection = InspectJournalDir(root + "/B");
+  ASSERT_TRUE(inspection.ok());
+  ASSERT_EQ(inspection->records, 7u);
+  const uint64_t real = inspection->snapshots[0].first;
+
+  const std::string future_bak = ChainFile(root, "snapshot", 99) + ".bak";
+  std::filesystem::copy_file(ChainFile(root, "snapshot", real), future_bak);
+  const uint64_t within = inspection->records - 1;
+  const std::string within_bak = ChainFile(root, "snapshot", within) + ".bak";
+  Snapshot bogus;
+  bogus.site = "B";
+  bogus.journal_records = within;
+  bogus.private_data.emplace_back(rule::ItemId{"bogus", {}}, Value::Int(0));
+  ASSERT_TRUE(WriteSnapshotFile(within_bak, bogus).ok());
+  const std::string notes = root + "/B/notes.tmp";
+  std::ofstream(notes) << "operator notes";
+
+  auto rec = (*store)->Recover();
+  ASSERT_TRUE(rec.ok()) << rec.status().ToString();
+  EXPECT_EQ(rec->snapshot_records, real);
+  EXPECT_EQ(Keys(*rec), (Names{"a", "b", "c"}));
+  EXPECT_EQ((*store)->snapshot_files_deleted(), 0u);
+  EXPECT_TRUE(std::filesystem::exists(future_bak));
+  EXPECT_TRUE(std::filesystem::exists(within_bak));
+  EXPECT_TRUE(std::filesystem::exists(notes));
+
+  // A new base numbered above the in-journal copy makes retention GC
+  // (keep_snapshots = 1) delete the real older base and nothing else.
+  WriteOne(store->get(), "d", 4);
+  Snapshot next;
+  for (const char* key : {"a", "b", "c", "d"}) {
+    next.private_data.emplace_back(rule::ItemId{key, {}}, Value::Int(0));
+  }
+  ASSERT_TRUE((*store)->WriteSnapshot(std::move(next)).ok());
+  EXPECT_EQ((*store)->snapshot_files_deleted(), 1u);
+  EXPECT_FALSE(std::filesystem::exists(ChainFile(root, "snapshot", real)));
+  EXPECT_TRUE(std::filesystem::exists(future_bak));
+  EXPECT_TRUE(std::filesystem::exists(within_bak));
+  EXPECT_TRUE(std::filesystem::exists(notes));
 }
 
 }  // namespace
