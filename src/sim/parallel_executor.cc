@@ -254,48 +254,57 @@ void ParallelExecutor::PlanParticipants() {
       }
     }
   }
-  int64_t last = static_cast<int64_t>(epochs_this_superstep_) - 1;
   for (auto& [name, lane] : lanes_) {
     lane->participating = lane->planned;
     if (!lane->planned) continue;
     lane->planned = false;
-    lane->last_epoch = last;
-    lane->pub.store(-1, std::memory_order_relaxed);
-    lane->in_ready.store(false, std::memory_order_relaxed);
     participants_.push_back(lane.get());
   }
 }
 
-bool ParallelExecutor::RunnableNow(Lane* lane) const {
-  int64_t next = lane->pub.load() + 1;
-  if (next > lane->last_epoch) return false;
-  if (next == 0) return true;  // epoch 0 has no inbound dependency
-  for (LaneChannel* ch : lane->inbound) {
-    if (!ch->src->participating) continue;  // silent this superstep
-    if (ch->src->pub.load() < next - 1) return false;
+void ParallelExecutor::PlanComponents() {
+  // Undirected walk over channels between participants, with each
+  // component's slice of component_lanes_ as its own queue. A channel whose
+  // source participates has a participating destination (the plan closure);
+  // one whose source sat out carries nothing this superstep. `planned` is
+  // the visited mark (PlanParticipants left it clear).
+  component_lanes_.clear();
+  component_begin_.clear();
+  for (Lane* seed : participants_) {
+    if (seed->planned) continue;
+    const size_t begin = component_lanes_.size();
+    component_begin_.push_back(begin);
+    seed->planned = true;
+    component_lanes_.push_back(seed);
+    for (size_t i = begin; i < component_lanes_.size(); ++i) {
+      Lane* lane = component_lanes_[i];
+      for (LaneChannel* ch : lane->outbound) {
+        if (!ch->dst->planned) {
+          ch->dst->planned = true;
+          component_lanes_.push_back(ch->dst);
+        }
+      }
+      for (LaneChannel* ch : lane->inbound) {
+        if (ch->src->participating && !ch->src->planned) {
+          ch->src->planned = true;
+          component_lanes_.push_back(ch->src);
+        }
+      }
+    }
+    std::sort(component_lanes_.begin() + static_cast<ptrdiff_t>(begin),
+              component_lanes_.end(),
+              [](const Lane* a, const Lane* b) { return a->site < b->site; });
   }
-  return true;
+  component_begin_.push_back(component_lanes_.size());
+  for (Lane* lane : participants_) lane->planned = false;
 }
 
-void ParallelExecutor::MaybeEnqueue(Lane* lane) {
-  // Claim-and-recheck with seq_cst atomics: either this caller wins the
-  // claim and enqueues, or the current claimer's post-release recheck is
-  // ordered after our pub bump and re-claims — no lost wakeups.
-  if (!RunnableNow(lane)) return;
-  if (lane->in_ready.exchange(true)) return;
-  {
-    std::lock_guard<std::mutex> lock(ready_mu_);
-    ready_.push_back(lane);
-  }
-  ready_cv_.notify_one();
-}
-
-size_t ParallelExecutor::RunOneEpoch(Lane* lane, size_t epoch) {
+void ParallelExecutor::RunOneEpoch(Lane* lane, size_t epoch) {
   current_lane_ = lane;
   lane->current_epoch = epoch;
   if (epoch > 0) {
-    // Drain inbound segments published for the previous epoch, in
-    // canonical source order (the inbound list's order).
+    // Drain inbound segments filled in the previous epoch, in canonical
+    // source order (the inbound list's order).
     for (LaneChannel* ch : lane->inbound) {
       if (!ch->src->participating) continue;
       auto& seg = ch->segments[epoch - 1];
@@ -321,72 +330,51 @@ size_t ParallelExecutor::RunOneEpoch(Lane* lane, size_t epoch) {
   }
   lane->steps_by_epoch[epoch] = steps;
   current_lane_ = nullptr;
-  lane->pub.store(static_cast<int64_t>(epoch));  // seq_cst publish
-  return steps;
 }
 
-void ParallelExecutor::RunLaneEpochs(Lane* lane) {
+void ParallelExecutor::RunComponents() {
+  const size_t count = component_begin_.size() - 1;
   for (;;) {
-    bool finished = false;
-    while (RunnableNow(lane)) {
-      int64_t e = lane->pub.load(std::memory_order_relaxed) + 1;
-      RunOneEpoch(lane, static_cast<size_t>(e));
-      if (e == lane->last_epoch) finished = true;
-      // The published epoch may unblock downstream lanes.
-      for (LaneChannel* ch : lane->outbound) {
-        if (ch->dst->participating) MaybeEnqueue(ch->dst);
+    size_t c = next_component_.fetch_add(1, std::memory_order_relaxed);
+    if (c >= count) return;
+    Lane* const* first = component_lanes_.data() + component_begin_[c];
+    Lane* const* last = component_lanes_.data() + component_begin_[c + 1];
+    // Epoch-major: every lane of the component finishes epoch e-1 (and so
+    // fills its segments e-1) before any of them drains them in epoch e.
+    for (size_t e = 0; e < epochs_this_superstep_; ++e) {
+      for (Lane* const* lane = first; lane != last; ++lane) {
+        RunOneEpoch(*lane, e);
       }
     }
-    if (finished) {
-      lane->in_ready.store(false);
-      if (lanes_done_.fetch_add(1) + 1 == participants_.size()) {
-        {
-          std::lock_guard<std::mutex> lock(ready_mu_);
-          superstep_complete_ = true;
-        }
-        ready_cv_.notify_all();
-      }
-      return;
-    }
-    // Release the claim, then recheck: a publisher that bumped pub before
-    // our release saw in_ready still true and skipped enqueueing — the
-    // recheck (seq_cst-ordered after both) picks that epoch up here.
-    lane->in_ready.store(false);
-    if (!RunnableNow(lane)) return;
-    if (lane->in_ready.exchange(true)) return;  // another claimer took over
   }
 }
 
-void ParallelExecutor::ReadyLoop() {
-  for (;;) {
-    Lane* lane = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(ready_mu_);
-      ready_cv_.wait(lock,
-                     [&] { return superstep_complete_ || !ready_.empty(); });
-      if (ready_.empty()) return;  // complete and drained
-      lane = ready_.front();
-      ready_.pop_front();
+bool ParallelExecutor::TakeSeat() {
+  size_t n = seats_.load(std::memory_order_acquire);
+  while (n > 0) {
+    if (seats_.compare_exchange_weak(n, n - 1, std::memory_order_acquire)) {
+      return true;
     }
-    RunLaneEpochs(lane);
   }
+  return false;
 }
 
 void ParallelExecutor::WorkerLoop() {
-  uint64_t seen_epoch = 0;
   for (;;) {
-    {
+    // The next superstep usually follows within a barrier's time: catch it
+    // spinning, so only a quiet pool pays the condvar wakeup.
+    bool seated = false;
+    for (int spin = 0; spin < kSpinsBeforeSleep && !seated; ++spin) {
+      seated = TakeSeat();
+      if (!seated) std::this_thread::yield();
+    }
+    if (!seated) {
       std::unique_lock<std::mutex> lock(pool_mu_);
-      work_cv_.wait(lock,
-                    [&] { return shutdown_ || work_epoch_ != seen_epoch; });
+      work_cv_.wait(lock, [&] { return shutdown_ || TakeSeat(); });
       if (shutdown_) return;
-      seen_epoch = work_epoch_;
     }
-    ReadyLoop();
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      if (--workers_busy_ == 0) done_cv_.notify_one();
-    }
+    RunComponents();
+    workers_busy_.fetch_sub(1, std::memory_order_release);
   }
 }
 
@@ -414,37 +402,39 @@ size_t ParallelExecutor::RunSuperstep(TimePoint anchor, bool has_cap,
 
   PlanParticipants();
   if (participants_.empty()) return 0;
+  PlanComponents();
 
-  lanes_done_.store(0, std::memory_order_relaxed);
   superstep_clamped_ = 0;
   superstep_hard_deferred_ = 0;
-  {
-    std::lock_guard<std::mutex> lock(ready_mu_);
-    superstep_complete_ = false;
-    for (Lane* lane : participants_) {
-      lane->in_ready.store(true, std::memory_order_relaxed);
-      ready_.push_back(lane);
-    }
-  }
-
-  if (workers_.empty() || (participants_.size() == 1 && !delivery_pending_)) {
-    ReadyLoop();
+  next_component_.store(0, std::memory_order_relaxed);
+  // Seats to offer workers: one per component the driver will not take
+  // first. A pending delivery keeps the driver busy, so then every
+  // component may go to a worker.
+  const size_t components = component_begin_.size() - 1;
+  const size_t seats = std::min(
+      workers_.size(), delivery_pending_ ? components : components - 1);
+  if (seats == 0) {
+    RunComponents();
   } else {
     {
-      // The epoch bump publishes the superstep state written above to the
-      // workers, whose condvar wait acquires pool_mu_.
+      // The release store publishes the superstep state written above to
+      // the seat's taker; storing under pool_mu_ keeps a worker that is
+      // about to sleep from missing it.
       std::lock_guard<std::mutex> lock(pool_mu_);
-      ++work_epoch_;
-      workers_busy_ = workers_.size();
+      workers_busy_.store(seats, std::memory_order_relaxed);
+      seats_.store(seats, std::memory_order_release);
     }
-    work_cv_.notify_all();
+    for (size_t i = 0; i < seats; ++i) work_cv_.notify_one();
     // The previous barrier's delivery overlaps this superstep: it reads only
     // what the detach half took out of the lanes' reach. The driver joins
     // the lanes once it is done.
     RunPendingDelivery();
-    ReadyLoop();
-    std::unique_lock<std::mutex> lock(pool_mu_);
-    done_cv_.wait(lock, [&] { return workers_busy_ == 0; });
+    RunComponents();
+    // Every component is claimed; the join waits only for the ones still
+    // running, so it spins instead of paying a wakeup on the critical path.
+    while (workers_busy_.load(std::memory_order_acquire) != 0) {
+      std::this_thread::yield();
+    }
   }
 
   return CloseSuperstep();

@@ -5,7 +5,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -54,16 +53,16 @@ struct ParallelExecutorConfig {
 //           — lanes with due work plus every lane reachable from them over
 //           the cross-lane channel graph. Unreachable idle lanes pay
 //           nothing for the superstep.
-//   run     (workers): each participant lane runs its epochs in order, but
-//           lanes are NOT barrier-synchronized per epoch — a lane may start
-//           epoch e as soon as every lane it *receives from* has published
-//           epoch e-1 (per-lane atomic epoch counters). Cross-lane posts
-//           are batched into per-(src,dst) channel segment buffers and
-//           drained by the destination once per epoch, in canonical
-//           (source-site-name, emission) order. Idle workers pick any
-//           runnable lane from a shared ready queue, so a worker that
-//           finished its lane's epoch e naturally "steals ahead" into
-//           other lanes' later epochs whose inbound channels are flushed.
+//   run     (workers): the participants split into the connected
+//           components of their channel graph. A worker claims a whole
+//           component (an atomic index) and runs its lanes epoch by epoch,
+//           each epoch's lanes in canonical site order; no two workers
+//           ever touch the same component, so nothing inside a superstep
+//           is synchronized. Cross-lane posts are batched into per-
+//           (src,dst) channel segment buffers and drained by the
+//           destination at the start of its next epoch, in canonical
+//           (source-site-name, emission) order. The price: the heaviest
+//           component bounds the superstep, however many workers idle.
 //   barrier (driver): once per superstep — not per epoch — the driver
 //           drains final-epoch segments, merges deferred posts (first
 //           messages on brand-new channels, and messages to lanes outside
@@ -168,6 +167,8 @@ class ParallelExecutor : public Executor {
   }
 
  private:
+  // Yields a worker spins through for the next superstep before sleeping.
+  static constexpr int kSpinsBeforeSleep = 200;
   struct Entry {
     TimePoint when;
     uint64_t seq;
@@ -199,11 +200,9 @@ class ParallelExecutor : public Executor {
   };
   struct Lane;
   // Per-(src,dst) cross-lane channel with one reusable segment vector per
-  // epoch. The source lane appends during its epoch e and publishes via its
-  // epoch counter; the destination drains segment e at its epoch e+1 (the
-  // publish/observe pair of seq_cst counter ops is the happens-before
-  // edge). Exactly one writer and one reader touch a segment, never
-  // concurrently.
+  // epoch. The source lane appends during its epoch e; the destination
+  // drains segment e at its epoch e+1. Both lanes sit in one component, so
+  // one worker runs them and the segment is never touched concurrently.
   struct LaneChannel {
     Lane* src = nullptr;
     Lane* dst = nullptr;
@@ -225,14 +224,8 @@ class ParallelExecutor : public Executor {
     std::vector<Entry> queue;  // heap ordered by EntryLater
     TimerPool timers;
 
-    // --- Epoch machinery. The two atomics are the only cross-thread-hot
-    // words; each gets its own cache line so a publisher bumping `pub`
-    // never invalidates the line a claimer is spinning `in_ready` on
-    // (and neither shares a line with the queue/clock state above).
-    alignas(64) std::atomic<int64_t> pub{-1};  // last epoch completed
-    alignas(64) std::atomic<bool> in_ready{false};
+    // --- Epoch machinery.
     bool participating = false;
-    int64_t last_epoch = -1;   // final epoch index this superstep
     size_t current_epoch = 0;  // epoch being run (set by the runner)
     // Channel lists, rebuilt by the plan phase when the graph changed.
     // inbound is kept in canonical source-site-name order — it is the
@@ -247,7 +240,7 @@ class ParallelExecutor : public Executor {
     uint64_t ep_cross = 0;
     uint64_t ep_clamped = 0;
     uint64_t ep_elided = 0;
-    bool planned = false;  // plan-phase BFS mark
+    bool planned = false;  // plan-phase walk mark
   };
 
   Lane* EnsureLane(const SiteId& base_site);  // outside supersteps only
@@ -269,14 +262,15 @@ class ParallelExecutor : public Executor {
   // when `has_cap`. Returns callbacks executed.
   size_t RunSuperstep(TimePoint anchor, bool has_cap, TimePoint cap);
   void PlanParticipants();
-  bool RunnableNow(Lane* lane) const;
-  void MaybeEnqueue(Lane* lane);
-  size_t RunOneEpoch(Lane* lane, size_t epoch);
-  // Claims `lane` (already popped from the ready queue) and runs every
-  // epoch its inbound dependencies currently permit.
-  void RunLaneEpochs(Lane* lane);
-  // Pops runnable lanes until the superstep completes.
-  void ReadyLoop();
+  // Splits participants_ into the connected components of their channel
+  // graph (component_lanes_/component_begin_).
+  void PlanComponents();
+  void RunOneEpoch(Lane* lane, size_t epoch);
+  // Claims components until none is left, running each one's lanes epoch
+  // by epoch.
+  void RunComponents();
+  // Claims one of the superstep's seats; false when none is left.
+  bool TakeSeat();
   void WorkerLoop();
   // Superstep barrier: final-segment drain, deferred merge, stats fold,
   // depth adaptation. Returns callbacks executed this superstep.
@@ -311,23 +305,22 @@ class ParallelExecutor : public Executor {
   std::array<TimePoint, kMaxEpochsPerSuperstep> epoch_end_{};
   size_t epochs_this_superstep_ = 0;
   TimePoint superstep_end_;
-  std::atomic<size_t> lanes_done_{0};
   std::vector<Lane*> plan_stack_;  // BFS scratch
+  // Participants grouped by component, each group in canonical site-name
+  // order; component c is [component_begin_[c], component_begin_[c + 1]).
+  std::vector<Lane*> component_lanes_;
+  std::vector<size_t> component_begin_;
+  std::atomic<size_t> next_component_{0};  // the claim index
 
-  // Ready queue of claimable lanes.
-  std::mutex ready_mu_;
-  std::condition_variable ready_cv_;
-  std::deque<Lane*> ready_;
-  bool superstep_complete_ = false;  // guarded by ready_mu_
-
-  // Worker pool (empty when num_threads == 1).
+  // Worker pool (empty when num_threads == 1). A superstep offers only as
+  // many seats as it has components to hand out; a worker takes one (spin,
+  // then sleep on work_cv_) and the driver spins until every seat is done.
   std::vector<std::thread> workers_;
   std::mutex pool_mu_;
   std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  uint64_t work_epoch_ = 0;  // guarded by pool_mu_
-  size_t workers_busy_ = 0;  // guarded by pool_mu_
-  bool shutdown_ = false;    // guarded by pool_mu_
+  std::atomic<size_t> seats_{0};
+  std::atomic<size_t> workers_busy_{0};  // seats offered and not yet done
+  bool shutdown_ = false;  // guarded by pool_mu_
 
   uint64_t windows_ = 0;
   uint64_t supersteps_ = 0;

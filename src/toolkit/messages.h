@@ -20,7 +20,9 @@ namespace hcm::toolkit {
 //              interpretation; the receiver executes the rule's RHS.
 //   "wr"/"rr"  CM-Interface requests, shell -> local translator.
 //   "del"      CM-initiated delete request, shell -> local translator.
-//   "failure"  FailureMessage, translator -> shell -> all shells.
+//   "failure"  FailureMessage, translator -> local shell.
+//   "failure-relay"  FailureMessage, that shell -> its strategy peers (the
+//              shells sharing an installed strategy with it); informational.
 
 struct EventMessage {
   rule::Event event;

@@ -877,10 +877,17 @@ void Shell::NoteCheckpoint() {
   fires_ended_.clear();
 }
 
+void Shell::AddPeer(Shell* peer) {
+  if (peer == this) return;
+  auto it = std::lower_bound(
+      peers_.begin(), peers_.end(), peer,
+      [](const Shell* a, const Shell* b) { return a->site() < b->site(); });
+  if (it == peers_.end() || *it != peer) peers_.insert(it, peer);
+}
+
 void Shell::ReportFailure(const FailureNotice& notice) {
   if (guarantees_ != nullptr) guarantees_->OnFailure(notice);
   for (Shell* peer : peers_) {
-    if (peer == this) continue;
     FailureMessage msg{notice};
     Status s = network_->Send({site_, peer->site(), "failure-relay", msg});
     if (!s.ok()) {

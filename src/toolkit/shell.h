@@ -34,8 +34,9 @@ namespace hcm::toolkit {
 //  - owns the CM-private data at this site (caches, Flag/Tb auxiliary
 //    items) and answers application reads of it;
 //  - runs the timers behind P(p) periodic rules;
-//  - relays failure notices from the translator to every peer shell and to
-//    the guarantee status registry.
+//  - relays failure notices from the translator to the guarantee status
+//    registry and to its strategy peers (the shells that share an installed
+//    strategy with it).
 class Shell {
  public:
   // Event-dispatch efficiency counters (see System::DescribeDispatchStats).
@@ -60,8 +61,9 @@ class Shell {
   // Registers the shell's network endpoint. Call once before running.
   Status Initialize();
 
-  // Lets this shell relay failure notices to its peers (every other shell).
-  void SetPeers(std::vector<Shell*> peers) { peers_ = std::move(peers); }
+  // Adds a shell this one relays failure notices to (one that shares an
+  // installed strategy with it). Peers are kept in site-name order, once.
+  void AddPeer(Shell* peer);
 
   // Routes matching and rule execution through the original string-keyed
   // Binding path instead of the compiled slot/symbol path. Semantically

@@ -108,16 +108,6 @@ Status System::EnsureShell(const std::string& site) {
     stores_.emplace(site, std::move(store));
   }
   shells_.emplace(site, std::move(shell));
-  // Refresh every shell's peer list.
-  std::vector<Shell*> all;
-  for (auto& [s, sh] : shells_) {
-    all.push_back(sh.get());
-    (void)s;
-  }
-  for (auto& [s, sh] : shells_) {
-    sh->SetPeers(all);
-    (void)s;
-  }
   return Status::OK();
 }
 
@@ -314,6 +304,15 @@ Status System::InstallStrategy(const std::string& key,
   for (const auto& g : strategy.guarantees) {
     HCM_RETURN_IF_ERROR(guarantee_status_.Register(key + "/" + g.name, g,
                                                    involved_sites));
+  }
+  // A failure at one of the strategy's sites is relayed to its other sites.
+  for (const auto& site : involved_sites) {
+    auto from = shells_.find(site);
+    if (from == shells_.end()) continue;
+    for (const auto& peer : involved_sites) {
+      auto to = shells_.find(peer);
+      if (to != shells_.end()) from->second->AddPeer(to->second.get());
+    }
   }
   return Status::OK();
 }

@@ -1,11 +1,14 @@
 #include "src/sim/parallel_executor.h"
 
+#include <algorithm>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/common/symbols.h"
 
 namespace hcm::sim {
 namespace {
@@ -202,6 +205,98 @@ TEST(ParallelExecutorEquivalence, RandomWorkloadIdenticalAcrossThreadCounts) {
             << " seed=" << seed;
       }
     }
+  }
+}
+
+// Components: two lane groups with no channel between them run as separate
+// components until a first-contact post joins them, and a hub lane that
+// starts later posts into both — plain, clamped (inside its own epoch) and
+// elided. The per-lane orders and the clamp/elide counts must not depend
+// on how the components were spread over workers.
+struct ComponentRun {
+  std::vector<std::vector<LogEntry>> logs;
+  uint64_t cross = 0;
+  uint64_t clamped = 0;
+  uint64_t elided = 0;
+  uint64_t supersteps = 0;
+};
+
+ComponentRun RunComponentWorkload(size_t threads) {
+  const std::vector<std::string> sites = {"A1", "A2", "A3", "B1",
+                                          "B2", "B3", "HUB"};
+  const size_t kHub = 6;
+  ParallelExecutor ex(Config(threads, Duration::Millis(20)));
+  ComponentRun run;
+  run.logs.resize(sites.size());
+  auto log = [&](size_t lane, int payload) {
+    run.logs[lane].push_back(LogEntry{sites[lane], ex.now().millis(), payload});
+  };
+
+  // Each group member pings the next member of its own group.
+  std::function<void(size_t, int)> pump = [&](size_t self, int n) {
+    log(self, n);
+    if (n >= 30) return;
+    size_t group = self / 3 * 3;
+    size_t peer = group + (self - group + 1) % 3;
+    ex.PostAfter(sites[peer], Duration::Millis(25 + 3 * (n % 4)),
+                 [&, peer, n] { log(peer, 1000 + n); });
+    // First contact across the groups: A2 reaches B2 once.
+    if (self == 1 && n == 10) {
+      ex.PostAfter(sites[4], Duration::Millis(40),
+                   [&, n] { log(4, 2000 + n); });
+    }
+    ex.PostAfter(sites[self], Duration::Millis(11 + self),
+                 [&pump, self, n] { pump(self, n + 1); });
+  };
+  // The hub alternates between the groups: a post within the lookahead
+  // (clamped), one beyond it, and an elided one.
+  std::function<void(int)> hub = [&](int n) {
+    log(kHub, n);
+    if (n >= 20) return;
+    size_t a = static_cast<size_t>(n % 3);
+    size_t b = 3 + static_cast<size_t>((n + 1) % 3);
+    ex.PostAfter(sites[a], Duration::Millis(5),
+                 [&, a, n] { log(a, 3000 + n); });
+    ex.PostAfter(sites[b], Duration::Millis(30),
+                 [&, b, n] { log(b, 4000 + n); });
+    ex.PostElidableAt(Symbols().Intern(sites[n % 2 == 0 ? a : b]),
+                      ex.now() + Duration::Millis(2),
+                      [&, a, b, n] { log(n % 2 == 0 ? a : b, 5000 + n); });
+    ex.PostAfter(sites[kHub], Duration::Millis(17), [&hub, n] { hub(n + 1); });
+  };
+
+  for (size_t i = 0; i < 6; ++i) {
+    ex.PostAt(sites[i], TimePoint::FromMillis(1 + static_cast<int64_t>(i)),
+              [&pump, i] { pump(i, 0); });
+  }
+  ex.PostAt(sites[kHub], TimePoint::FromMillis(200), [&hub] { hub(0); });
+  ex.RunUntil(TimePoint::FromMillis(2000));
+  run.cross = ex.cross_posts();
+  run.clamped = ex.clamped_cross_posts();
+  run.elided = ex.elided_cross_posts();
+  run.supersteps = ex.supersteps();
+  return run;
+}
+
+TEST(ParallelExecutorEquivalence, ComponentsRunIdenticallyAtAnyThreadCount) {
+  ComponentRun reference = RunComponentWorkload(1);
+  // The workload reaches every path it is meant to.
+  EXPECT_GT(reference.clamped, 0u);
+  EXPECT_GT(reference.elided, 0u);
+  EXPECT_NE(std::find_if(reference.logs[4].begin(), reference.logs[4].end(),
+                         [](const LogEntry& e) { return e.payload == 2010; }),
+            reference.logs[4].end());
+  // Repeated: a wrong component split shows only in some interleavings.
+  for (size_t threads : {2u, 4u, 8u, 2u, 4u, 8u, 2u, 4u, 8u}) {
+    ComponentRun run = RunComponentWorkload(threads);
+    for (size_t i = 0; i < run.logs.size(); ++i) {
+      EXPECT_EQ(run.logs[i], reference.logs[i])
+          << "lane " << i << " diverged at threads=" << threads;
+    }
+    EXPECT_EQ(run.cross, reference.cross) << "threads=" << threads;
+    EXPECT_EQ(run.clamped, reference.clamped) << "threads=" << threads;
+    EXPECT_EQ(run.elided, reference.elided) << "threads=" << threads;
+    EXPECT_EQ(run.supersteps, reference.supersteps) << "threads=" << threads;
   }
 }
 

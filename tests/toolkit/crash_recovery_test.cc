@@ -8,7 +8,9 @@
 // deployment.
 
 #include <filesystem>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -503,36 +505,45 @@ TEST(CrashRecovery, OutageBeyondEveryDeadlineIsLogical) {
 
 // --- E9: Stanford deployment, crash the filestore site mid-run ---
 
+// The E9 sites and items with '@' for a department suffix: the single
+// deployment below uses "", the relay test departments "0" and "1".
+std::string ForDept(std::string text, const std::string& d) {
+  for (size_t pos; (pos = text.find('@')) != std::string::npos;) {
+    text.replace(pos, 1, d);
+  }
+  return text;
+}
+
 constexpr const char* kRidWhois = R"(
 ris whois
-site WHOIS
+site WHOIS@
 param notify_delay 200ms
-item phone
+item phone@
   read   get $1 phone
   write  set $1 phone $v
   list   list
   notify attr phone
-interface notify phone(n) 1s
+interface notify phone@(n) 1s
 )";
 
 constexpr const char* kRidLookup = R"(
 ris filestore
-site LOOKUP
-item CsdPhone
+site LOOKUP@
+item CsdPhone@
   read  /staff/phone/$1
   write /staff/phone/$1
   list  /staff/phone/
-interface write CsdPhone(n) 2s
+interface write CsdPhone@(n) 2s
 )";
 
 constexpr const char* kRidGroup = R"(
 ris relational
-site GROUP
-item GroupPhone
+site GROUP@
+item GroupPhone@
   read   select phone from members where login = $1
   write  update members set phone = $v where login = $1
   list   select login from members
-interface write GroupPhone(n) 2s
+interface write GroupPhone@(n) 2s
 )";
 
 TEST(CrashRecovery, StanfordLookupCrashRecoversAndGuaranteesHold) {
@@ -553,9 +564,9 @@ TEST(CrashRecovery, StanfordLookupCrashRecoversAndGuaranteesHold) {
     group->Execute("insert into members values ('" + login +
                    "', '000-0000')");
   }
-  ASSERT_EQ(system.ConfigureTranslator(kRidWhois), Status::OK());
-  ASSERT_EQ(system.ConfigureTranslator(kRidLookup), Status::OK());
-  ASSERT_EQ(system.ConfigureTranslator(kRidGroup), Status::OK());
+  for (const char* rid : {kRidWhois, kRidLookup, kRidGroup}) {
+    ASSERT_EQ(system.ConfigureTranslator(ForDept(rid, "")), Status::OK());
+  }
   for (int i = 0; i < kStaff; ++i) {
     Value login = Value::Str("user" + std::to_string(i));
     system.DeclareInitial(rule::ItemId{"phone", {login}});
@@ -631,6 +642,130 @@ TEST(CrashRecovery, StanfordLookupCrashRecoversAndGuaranteesHold) {
       "c/GroupPhone(n)/metric-y-follows-x");
   ASSERT_TRUE(group_detail.ok());
   EXPECT_TRUE(group_detail->void_windows.empty());
+}
+
+// --- Failure relays stay among a strategy's sites ---
+
+struct TwoDepartmentRun {
+  uint64_t group0_to_whois0 = 0;
+  // Messages from GROUP0 to any site of department 1.
+  uint64_t group0_to_dept1 = 0;
+  std::vector<std::string> invalid_keys;
+  std::vector<toolkit::FailureNotice> notices;
+  // key -> void windows of the metric copy guarantees.
+  std::map<std::string, std::vector<std::pair<TimePoint, TimePoint>>> voids;
+};
+
+TwoDepartmentRun RunTwoDepartments(size_t threads, bool crash,
+                                   TimePoint crash_at, TimePoint restart_at) {
+  constexpr int kStaff = 4;
+  toolkit::SystemOptions opts;
+  opts.num_threads = threads;
+  opts.storage.dir = FreshDir("hcm_relay_scope_t" + std::to_string(threads) +
+                              (crash ? "_crash" : "_base"));
+  opts.storage.commit_interval = Duration::Millis(10);
+  opts.storage.snapshot_period = Duration::Seconds(5);
+  toolkit::System system(opts);
+  std::vector<std::string> metric_keys;
+  for (const char* d : {"0", "1"}) {
+    auto* whois = *system.AddWhoisSite(ForDept("WHOIS@", d));
+    auto* lookup = *system.AddFileSite(ForDept("LOOKUP@", d));
+    auto* group = *system.AddRelationalSite(ForDept("GROUP@", d));
+    group->Execute("create table members (login str primary key, phone str)");
+    for (int i = 0; i < kStaff; ++i) {
+      std::string login = "user" + std::to_string(i);
+      whois->Query("set " + login + " phone 000-0000");
+      lookup->Write("/staff/phone/" + login, "\"000-0000\"");
+      group->Execute("insert into members values ('" + login +
+                     "', '000-0000')");
+    }
+    for (const char* rid : {kRidWhois, kRidLookup, kRidGroup}) {
+      EXPECT_EQ(system.ConfigureTranslator(ForDept(rid, d)), Status::OK());
+    }
+    for (int i = 0; i < kStaff; ++i) {
+      Value login = Value::Str("user" + std::to_string(i));
+      for (const char* base : {"phone@", "CsdPhone@", "GroupPhone@"}) {
+        system.DeclareInitial(rule::ItemId{ForDept(base, d), {login}});
+      }
+    }
+    for (const char* copy : {"CsdPhone@(n)", "GroupPhone@(n)"}) {
+      auto constraint = *spec::MakeCopyConstraint(ForDept("phone@(n)", d),
+                                                  ForDept(copy, d));
+      auto suggestions = *system.Suggest(constraint);
+      std::string key = "c/" + ForDept(copy, d);
+      EXPECT_EQ(system.InstallStrategy(key, constraint,
+                                       suggestions.at(0).strategy),
+                Status::OK());
+      metric_keys.push_back(key + "/metric-y-follows-x");
+    }
+  }
+  if (crash) {
+    EXPECT_EQ(system.ScheduleCrash("GROUP0", crash_at, restart_at,
+                                   /*clean=*/true),
+              Status::OK());
+  }
+  Rng rng(11);
+  for (int u = 0; u < 24; ++u) {
+    std::string item = "phone" + std::to_string(u % 2);
+    std::string login = "user" + std::to_string(rng.Index(kStaff));
+    EXPECT_EQ(system.WorkloadWrite(rule::ItemId{item, {Value::Str(login)}},
+                                   Value::Str(std::to_string(
+                                       rng.UniformInt(200, 999)))),
+              Status::OK());
+    system.RunFor(Duration::Millis(rng.UniformInt(200, 2000)));
+  }
+  system.RunFor(Duration::Minutes(1));
+
+  TwoDepartmentRun run;
+  const auto& net = system.network();
+  run.group0_to_whois0 = net.messages_on_channel("GROUP0", "WHOIS0");
+  for (const char* site : {"WHOIS1", "LOOKUP1", "GROUP1"}) {
+    run.group0_to_dept1 += net.messages_on_channel("GROUP0", site);
+  }
+  run.invalid_keys = system.guarantee_status().InvalidKeys();
+  run.notices = system.guarantee_status().failures();
+  for (const auto& key : metric_keys) {
+    auto detail = system.guarantee_status().DetailOf(key);
+    EXPECT_TRUE(detail.ok()) << key;
+    if (detail.ok()) run.voids[key] = detail->void_windows;
+  }
+  return run;
+}
+
+TEST(CrashRecovery, FailureRelayReachesOnlyStrategyPeers) {
+  const TimePoint crash_at = TimePoint::FromMillis(8000);
+  const TimePoint restart_at = TimePoint::FromMillis(9000);
+  for (size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TwoDepartmentRun base =
+        RunTwoDepartments(threads, /*crash=*/false, crash_at, restart_at);
+    TwoDepartmentRun run =
+        RunTwoDepartments(threads, /*crash=*/true, crash_at, restart_at);
+
+    // The relay went to GROUP0's strategy peer WHOIS0 and nowhere in
+    // department 1, which shares no strategy with GROUP0.
+    EXPECT_GT(run.group0_to_whois0, base.group0_to_whois0);
+    EXPECT_EQ(run.group0_to_dept1, 0u);
+
+    // Verdicts: one metric failure at GROUP0, nothing invalid, and only
+    // GroupPhone0's metric guarantee void, from the crash until after the
+    // restart.
+    ASSERT_EQ(run.notices.size(), 1u);
+    EXPECT_EQ(run.notices[0].site, "GROUP0");
+    EXPECT_EQ(run.notices[0].failure_class, FailureClass::kMetric);
+    EXPECT_TRUE(run.invalid_keys.empty());
+    EXPECT_TRUE(base.notices.empty());
+    for (const auto& [key, windows] : run.voids) {
+      if (key == "c/GroupPhone0(n)/metric-y-follows-x") {
+        ASSERT_EQ(windows.size(), 1u);
+        EXPECT_EQ(windows[0].first, crash_at);
+        EXPECT_GE(windows[0].second, restart_at);
+      } else {
+        EXPECT_TRUE(windows.empty()) << key;
+      }
+      EXPECT_TRUE(base.voids.at(key).empty()) << key;
+    }
+  }
 }
 
 }  // namespace
