@@ -59,8 +59,8 @@ Result<bool> RequireBool(const Value& v, const char* context) {
 }
 
 // The evaluation body, parameterized over the variable/item environment so
-// the map-backed and frame-backed paths share one switch. `Env` provides
-// Var(name) and Item(ref).
+// the map-backed, frame-backed and caller-resolved paths share one switch.
+// `Env` provides Var(node) and Item(node) for kVariable/kItem nodes.
 template <typename Env>
 Result<Value> EvalWith(const Expr& e, const Env& env) {
   using ris::relational::CompareOp;
@@ -69,9 +69,9 @@ Result<Value> EvalWith(const Expr& e, const Env& env) {
     case ExprOp::kLiteral:
       return e.literal_value();
     case ExprOp::kVariable:
-      return env.Var(e.variable_name());
+      return env.Var(e);
     case ExprOp::kItem:
-      return env.Item(e.item_ref());
+      return env.Item(e);
     case ExprOp::kAnd: {
       HCM_ASSIGN_OR_RETURN(Value l, EvalWith(*e.lhs(), env));
       HCM_ASSIGN_OR_RETURN(bool lb, RequireBool(l, "and"));
@@ -143,15 +143,16 @@ struct MapEnv {
   const Binding& binding;
   const DataReader& reader;
 
-  Result<Value> Var(const std::string& name) const {
-    auto it = binding.find(name);
+  Result<Value> Var(const Expr& node) const {
+    auto it = binding.find(node.variable_name());
     if (it == binding.end()) {
-      return Status::FailedPrecondition("unbound variable: " + name);
+      return Status::FailedPrecondition("unbound variable: " +
+                                        node.variable_name());
     }
     return it->second;
   }
-  Result<Value> Item(const ItemRef& ref) const {
-    HCM_ASSIGN_OR_RETURN(ItemId id, ref.Ground(binding));
+  Result<Value> Item(const Expr& node) const {
+    HCM_ASSIGN_OR_RETURN(ItemId id, node.item_ref().Ground(binding));
     return reader(id);
   }
 };
@@ -161,6 +162,9 @@ struct FrameEnv {
   const SlotMap& slots;
   const DataReader& reader;
 
+  Result<Value> Var(const Expr& node) const {
+    return Var(node.variable_name());
+  }
   Result<Value> Var(const std::string& name) const {
     int s = slots.Find(name);
     if (s < 0 || !frame.IsBound(static_cast<uint16_t>(s))) {
@@ -168,7 +172,8 @@ struct FrameEnv {
     }
     return frame.Get(static_cast<uint16_t>(s));
   }
-  Result<Value> Item(const ItemRef& ref) const {
+  Result<Value> Item(const Expr& node) const {
+    const ItemRef& ref = node.item_ref();
     // Ground the ref without touching its (possibly shared) terms'
     // compiled state: resolve variables by name through the slot map. The
     // grounded id reuses one per-thread buffer, so a read allocates nothing
@@ -193,6 +198,13 @@ struct FrameEnv {
   }
 };
 
+// Forwards to a caller-supplied ExprEnv.
+struct VirtualEnv {
+  const ExprEnv& env;
+  Result<Value> Var(const Expr& node) const { return env.Var(node); }
+  Result<Value> Item(const Expr& node) const { return env.Item(node); }
+};
+
 }  // namespace
 
 Result<Value> Expr::Eval(const Binding& binding,
@@ -215,6 +227,11 @@ Result<bool> Expr::EvalBoolFrame(const BindingFrame& frame,
                                  const SlotMap& slots,
                                  const DataReader& reader) const {
   HCM_ASSIGN_OR_RETURN(Value v, EvalFrame(frame, slots, reader));
+  return RequireBool(v, "condition");
+}
+
+Result<bool> Expr::EvalBoolIn(const ExprEnv& env) const {
+  HCM_ASSIGN_OR_RETURN(Value v, EvalWith(*this, VirtualEnv{env}));
   return RequireBool(v, "condition");
 }
 

@@ -24,6 +24,22 @@ Result<Value> NullDataReader(const ItemId& item);
 class Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
+// A variable/item environment keyed by tree node, for callers that resolve
+// a tree's variables and item references ahead of evaluation (the guarantee
+// checker maps them to binding slots and interned item ids once per atom).
+// Errors read as evaluation errors, exactly like an unbound variable or an
+// unreadable item under the map- and frame-backed environments.
+class ExprEnv {
+ public:
+  // `node` is a kVariable node of the tree being evaluated.
+  virtual Result<Value> Var(const Expr& node) const = 0;
+  // `node` is a kItem node of the tree being evaluated.
+  virtual Result<Value> Item(const Expr& node) const = 0;
+
+ protected:
+  ~ExprEnv() = default;
+};
+
 // Node types of the condition language. Comparisons and logic produce
 // Bool; arithmetic produces Int/Real per Value semantics.
 enum class ExprOp {
@@ -79,6 +95,10 @@ class Expr {
                           const DataReader& reader) const;
   Result<bool> EvalBoolFrame(const BindingFrame& frame, const SlotMap& slots,
                              const DataReader& reader) const;
+
+  // EvalBool against a caller-resolved environment: same semantics, with
+  // every variable and item read delegated to `env` by node.
+  Result<bool> EvalBoolIn(const ExprEnv& env) const;
 
   // Fully parenthesized rendering, parsable by the rule parser.
   std::string ToString() const;

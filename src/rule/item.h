@@ -35,6 +35,8 @@ class Term {
 
   const Value& literal() const { return literal_; }
   const std::string& var_name() const { return var_name_; }
+  // A variable term's compiled slot (-1 before Compile).
+  int32_t slot() const { return slot_; }
 
   // Unifies this term with a ground value under `binding`:
   //  - literal: equality check;

@@ -65,6 +65,15 @@ Network::Channel* Network::GetChannel(uint32_t src_sym, uint32_t dst_sym) {
   return &it->second;
 }
 
+Network::Channel* Network::ChannelFor(uint32_t src_sym, uint32_t dst_sym) {
+  auto source = endpoints_by_sym_.find(src_sym);
+  if (source == endpoints_by_sym_.end()) return GetChannel(src_sym, dst_sym);
+  auto [it, inserted] =
+      source->second->out_channels.try_emplace(dst_sym, nullptr);
+  if (inserted) it->second = GetChannel(src_sym, dst_sym);
+  return it->second;
+}
+
 TimePoint Network::ComputeDeliveryTime(Channel* channel,
                                        const Message& message,
                                        const Endpoint* endpoint) {
@@ -123,11 +132,11 @@ Status Network::Send(Message message) {
       return Status::OK();  // silently lost, like a crashed server
     }
   }
-  // All sends with source S run on S's lane, so the channel has a single
-  // writing thread; only the map lookup inside GetChannel takes a lock.
-  Channel* channel = GetChannel(message.src_sym, message.dst_sym);
+  // All sends with source S run on S's lane, so the channel (and S's
+  // channel cache) has a single writing thread; only a channel's first use
+  // takes the map lock.
+  Channel* channel = ChannelFor(message.src_sym, message.dst_sym);
   TimePoint delivery = ComputeDeliveryTime(channel, message, endpoint);
-  messages_sent_.fetch_add(1, std::memory_order_relaxed);
   ++channel->count;
   Handler* handler = &endpoint->handler;
   uint32_t dst_base_sym = endpoint->base_sym;
@@ -146,6 +155,13 @@ Status Network::Send(Message message) {
         [handler, msg = std::move(message)]() { (*handler)(msg); });
   }
   return Status::OK();
+}
+
+uint64_t Network::total_messages_sent() const {
+  std::lock_guard<std::mutex> lock(channels_mu_);
+  uint64_t total = 0;
+  for (const auto& [key, channel] : channels_) total += channel.count;
+  return total;
 }
 
 uint64_t Network::messages_on_channel(const SiteId& src,

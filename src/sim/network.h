@@ -2,7 +2,6 @@
 #define HCM_SIM_NETWORK_H_
 
 #include <any>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -70,8 +69,10 @@ struct NetworkConfig {
 // never perturbs an unrelated channel's latencies, and — since every send
 // with source S runs on S's execution lane — each channel has exactly one
 // writing thread under ParallelExecutor. The channel map itself is guarded
-// by a mutex (lanes can create channels concurrently); channel *state* needs
-// no lock.
+// by a mutex (lanes can create channels concurrently) and taken only on a
+// channel's first use by each sender: every source endpoint caches its
+// channels, so a send takes no lock and touches no shared counter. Channel
+// *state* needs no lock.
 class Network {
  public:
   using Handler = std::function<void(const Message&)>;
@@ -96,13 +97,14 @@ class Network {
   // configurations early). Safe to call from any execution lane.
   Status Send(Message message);
 
-  // Statistics for the benches.
-  uint64_t total_messages_sent() const {
-    return messages_sent_.load(std::memory_order_relaxed);
-  }
+  // Statistics for the benches and tests. The sending lanes count without
+  // synchronization, so read these between runs, not during one.
+  uint64_t total_messages_sent() const;
   uint64_t messages_on_channel(const SiteId& src, const SiteId& dst) const;
 
  private:
+  struct Channel;
+
   // A registered endpoint with everything Send needs precomputed at wiring
   // time: the handler, the endpoint's interned id, the interned id of its
   // base site (the ParallelExecutor lane tag), and whether health holds
@@ -112,6 +114,10 @@ class Network {
     uint32_t sym = kNoSymbol;
     uint32_t base_sym = kNoSymbol;
     bool health_holds = true;
+    // This endpoint's outgoing channels by destination sym: entries of
+    // channels_, cached on first send. Read and written only by sends from
+    // this endpoint, which all run on its lane.
+    std::unordered_map<uint32_t, Channel*> out_channels;
   };
 
   // Per-(src, dst) channel state. Mutated only by the source's lane.
@@ -124,6 +130,9 @@ class Network {
   };
 
   Channel* GetChannel(uint32_t src_sym, uint32_t dst_sym);
+  // The channel for a send, through the source endpoint's cache when the
+  // source is a registered endpoint.
+  Channel* ChannelFor(uint32_t src_sym, uint32_t dst_sym);
   TimePoint ComputeDeliveryTime(Channel* channel, const Message& message,
                                 const Endpoint* endpoint);
 
@@ -134,14 +143,14 @@ class Network {
   // Endpoint sym -> entry in endpoints_ (map nodes are stable). The hot
   // lookup for messages stamped with dst_sym.
   std::unordered_map<uint32_t, Endpoint*> endpoints_by_sym_;
-  // Guards the map structure only (find/insert), not Channel contents.
+  // Guards the map structure only (find/insert), not Channel contents. Node
+  // based, so the endpoints' cached Channel pointers stay valid.
   mutable std::mutex channels_mu_;
   // Channels keyed by the packed (src_sym, dst_sym) pair. The jitter seed
   // is still derived from the endpoint *names* at channel creation (see
   // ChannelHash): symbol ids are intern-order-dependent, names are not, so
   // seeding by name keeps latency streams stable across thread counts.
   std::unordered_map<uint64_t, Channel> channels_;
-  std::atomic<uint64_t> messages_sent_{0};
 };
 
 }  // namespace hcm::sim

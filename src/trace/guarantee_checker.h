@@ -77,9 +77,12 @@ struct GuaranteeCheckResult {
 // `@in[a,b]` any; an empty interval (a > b) is vacuously true for `@@` and
 // false for `@in`.
 //
-// The check runs on the calling thread with one set of memo caches: the
-// universal enumeration and every witness's existential search share them,
-// and counterexamples come out in witness order.
+// The check runs on the calling thread with one set of memo caches. The
+// guarantee is compiled once (variables to binding slots, item reads to
+// interned timeline ids); LHS witnesses are enumerated depth-first, in the
+// lexicographic order of their per-atom extensions, and each is searched
+// existentially as it is found, so counterexamples come out in witness
+// order. `max_lhs_witnesses` caps each LHS level's extensions.
 //
 // Returns an error only for structurally unusable guarantees (e.g. a time
 // expression that can never be resolved); an unsatisfied guarantee is a

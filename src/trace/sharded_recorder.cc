@@ -200,6 +200,15 @@ void ShardedTraceRecorder::EmitDetached() {
     int64_t final_id = FinalIdOf(event.trigger_event_id);
     if (final_id >= 0) event.trigger_event_id = final_id;
   }
+  // Grow the archive once per batch instead of reallocating inside the
+  // move loop, doubling as push_back would (the same capacities, so the
+  // same peak memory).
+  size_t need = emitted_.size() + order_.size();
+  if (!drain_ && need > emitted_.capacity()) {
+    size_t capacity = std::max<size_t>(emitted_.capacity(), 1);
+    while (capacity < need) capacity *= 2;
+    emitted_.reserve(capacity);
+  }
   for (const SortKey& key : order_) {
     if (sink_ != nullptr) sink_->OnEvent(*key.event);
     if (!drain_) emitted_.push_back(std::move(*key.event));
