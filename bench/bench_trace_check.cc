@@ -12,10 +12,10 @@
 // checked in one pass) and report the live-state high-water mark next to
 // the offline rows' fully-resident trace: the offline checkers hold every
 // event plus full per-item timelines, the streaming checker holds one
-// rule-δ horizon. The sim+check section runs a real parallel payroll
-// deployment twice — sequential sim-then-check vs the checker attached in
-// drain mode (checking overlaps execution, no offline trace is ever
-// materialized) — substantiating the DESIGN.md §4g overlap claim.
+// rule-δ horizon. The guarantee sweep checks real parallel payroll
+// traces of growing length offline (--no-sim skips it). The live-checking
+// overlap on a running deployment is measured end to end by hcm_e2e
+// (`stanford-durable`'s trace.stream.live_overhead_ratio).
 //
 // Pass --json=FILE to dump the rows (refreshes BENCH_trace_check.json).
 
@@ -311,28 +311,12 @@ std::vector<CheckRow> RunSize(size_t n) {
   return rows;
 }
 
-// --- sim+check overlap: a real parallel payroll run, checked while it
-// runs (drain mode) vs sequential sim-then-offline-check ---
-
-struct SimCheckRow {
-  std::string name;
-  size_t events = 0;
-  double wall_ms = 0;
-  double sim_ms = 0;    // the workload's WorkloadWrite/RunFor calls
-  double check_ms = 0;  // FinishTrace and the checks after it
-  size_t live_state_peak = 0;
-  std::string verdict;
-};
-
 constexpr int kSimEmployees = 32;
-constexpr int kSimUpdates = 800;
 constexpr size_t kSimThreads = 4;
 
 // Updates arrive in bursts of 20 with the sim run between bursts, the way
-// a real ingest path batches them. The simulation itself is cheap: the
-// row's sim_ms column is a small share of its wall time, and the rest is
-// the verdict (check_ms).
-void DriveSimWorkload(toolkit::System& system, int updates = kSimUpdates) {
+// a real ingest path batches them.
+void DriveSimWorkload(toolkit::System& system, int updates) {
   Rng rng(11);
   std::vector<int> ids(kSimEmployees);
   for (int i = 0; i < kSimEmployees; ++i) ids[i] = i + 1;
@@ -378,82 +362,6 @@ void InstallSuggested(toolkit::System& system,
     r.id = next_id++;
     rules->push_back(std::move(r));
   }
-}
-
-std::vector<SimCheckRow> RunSimCheck() {
-  std::vector<SimCheckRow> rows;
-  spec::Guarantee g = spec::YFollowsX("salary1(n)", "salary2(n)");
-  trace::GuaranteeCheckOptions gopts;
-  gopts.settle_margin = Duration::Seconds(2);
-
-  // Sequential: simulate, materialize the full trace, then check offline.
-  {
-    std::fprintf(stderr, "[bench] simcheck sequential run...\n");
-    auto d = MakeSimDeployment();
-    std::vector<rule::Rule> rules;
-    InstallSuggested(*d.system, d.constraint, &rules);
-    SimCheckRow row;
-    row.name = "simcheck_sequential";
-    bool valid = false, holds = false;
-    row.sim_ms = WallMs([&] { DriveSimWorkload(*d.system); });
-    row.check_ms = WallMs([&] {
-      Trace t = d.system->FinishTrace();
-      row.events = t.events.size();
-      auto report = trace::CheckValidExecution(t, rules, {});
-      valid = report.valid;
-      for (size_t i = 0; !valid && i < report.violations.size() && i < 3; ++i) {
-        std::fprintf(stderr, "[bench]   violation: %s\n",
-                     report.violations[i].ToString().c_str());
-      }
-      auto r = trace::CheckGuarantee(t, g, gopts);
-      holds = r.ok() && r->holds;
-      if (r.ok() && !r->holds) {
-        std::fprintf(stderr, "[bench]   guarantee: %s\n",
-                     r->ToString().c_str());
-        for (size_t i = 0; i < r->counterexamples.size() && i < 3; ++i) {
-          std::fprintf(stderr, "[bench]   cx: %s\n",
-                       r->counterexamples[i].ToString().c_str());
-        }
-      }
-    });
-    row.wall_ms = row.sim_ms + row.check_ms;
-    row.verdict = valid && holds ? "VALID+HOLDS" : "FAILED";
-    rows.push_back(row);
-  }
-
-  // Overlapped: the checker rides the recorder in drain mode; the verdict
-  // is ready the moment the simulation finishes and no trace is kept.
-  {
-    std::fprintf(stderr, "[bench] simcheck streaming run...\n");
-    auto d = MakeSimDeployment();
-    std::vector<rule::Rule> rules;
-    InstallSuggested(*d.system, d.constraint, &rules);
-    trace::StreamingCheckOptions sopts;
-    sopts.guarantee.settle_margin = Duration::Seconds(2);
-    trace::StreamingChecker checker(rules, {g}, sopts);
-    if (d.system->AttachStreamingChecker(&checker, /*drain=*/true) !=
-        Status::OK()) {
-      std::abort();
-    }
-    SimCheckRow row;
-    row.name = "simcheck_streaming";
-    bool valid = false, holds = false;
-    // Live checking rides inside sim_ms; check_ms is what remains at
-    // FinishTrace (the replay of guarantees that cannot be windowed).
-    row.sim_ms = WallMs([&] { DriveSimWorkload(*d.system); });
-    row.check_ms = WallMs([&] {
-      Trace drained = d.system->FinishTrace();
-      if (!drained.events.empty()) std::abort();
-      valid = checker.execution_report().valid;
-      holds = checker.guarantee_results().begin()->second.holds;
-    });
-    row.wall_ms = row.sim_ms + row.check_ms;
-    row.events = checker.stats().events_seen;
-    row.live_state_peak = checker.stats().live_footprint_peak;
-    row.verdict = valid && holds ? "VALID+HOLDS" : "FAILED";
-    rows.push_back(row);
-  }
-  return rows;
 }
 
 // --- guarantee scaling: offline CheckGuarantee on payroll traces of
@@ -506,7 +414,6 @@ std::vector<SweepRow> RunGuaranteeSweep(const std::vector<int>& updates) {
 
 void WriteJson(const std::string& path,
                const std::map<size_t, std::vector<CheckRow>>& by_size,
-               const std::vector<SimCheckRow>& simcheck,
                const std::vector<SweepRow>& sweep) {
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -521,11 +428,9 @@ void WriteJson(const std::string& path,
                "    \"note\": \"live_state_peak = streaming checker's peak "
                "retained events+segments+obligations+pairs+fired+guarantee "
                "segments; offline rows keep the whole trace (events column) "
-               "resident. simcheck rows run a real %zu-thread payroll "
-               "deployment: sequential = sim, materialize, check offline; "
-               "streaming = checker attached in drain mode, checking "
-               "overlaps execution\"\n",
-               kSimThreads);
+               "resident; guarantee_sweep rows check %d-employee payroll "
+               "traces from a %zu-thread deployment offline\"\n",
+               kSimEmployees, kSimThreads);
   std::fprintf(f, "  },\n  \"benchmarks\": [\n");
   bool first = true;
   for (const auto& [n, rows] : by_size) {
@@ -540,20 +445,6 @@ void WriteJson(const std::string& path,
                    r.live_state_peak);
       first = false;
     }
-  }
-  for (const auto& r : simcheck) {
-    Throughput tp = ComputeThroughput(r.wall_ms, r.events);
-    std::fprintf(f,
-                 "%s    {\"name\": \"%s/employees:%d/updates:%d/threads:%zu\", "
-                 "\"real_time_ms\": %.1f, \"sim_ms\": %.1f, "
-                 "\"check_ms\": %.1f, \"ns_per_event\": %.1f, "
-                 "\"events_per_s\": %.0f, \"events\": %zu, "
-                 "\"live_state_peak\": %zu, \"verdict\": \"%s\"}",
-                 first ? "" : ",\n", r.name.c_str(), kSimEmployees,
-                 kSimUpdates, kSimThreads, r.wall_ms, r.sim_ms, r.check_ms,
-                 tp.ns_per_event, tp.events_per_s, r.events, r.live_state_peak,
-                 r.verdict.c_str());
-    first = false;
   }
   for (const auto& r : sweep) {
     std::fprintf(f,
@@ -603,8 +494,7 @@ int main(int argc, char** argv) {
 
   Banner("trace checking: offline vs streaming (10k / 100k / 1M events)",
          "verification cost scales with the update stream; the streaming "
-         "checker bounds memory to one rule-delta horizon and overlaps "
-         "checking with execution");
+         "checker bounds memory to one rule-delta horizon");
 
   std::map<size_t, std::vector<CheckRow>> by_size;
   for (size_t n : sizes) {
@@ -622,32 +512,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::vector<SimCheckRow> simcheck;
-  if (run_sim) {
-    std::printf("\nsim+check overlap (payroll, %d employees, %d updates, "
-                "%zu threads):\n",
-                bench::kSimEmployees, bench::kSimUpdates, bench::kSimThreads);
-    simcheck = RunSimCheck();
-  }
-  double seq_ms = 0;
-  for (const auto& r : simcheck) {
-    if (r.name == "simcheck_sequential") seq_ms = r.wall_ms;
-    std::printf("  %-22s %10.1f  (sim %.1f + check %.1f)  %-28s %s%s\n",
-                r.name.c_str(), r.wall_ms, r.sim_ms, r.check_ms,
-                ThroughputStr(r.wall_ms, r.events).c_str(), r.verdict.c_str(),
-                r.live_state_peak > 0
-                    ? (std::string(", live peak ") +
-                       std::to_string(r.live_state_peak))
-                          .c_str()
-                    : "");
-  }
-  for (const auto& r : simcheck) {
-    if (r.name == "simcheck_streaming" && seq_ms > 0 && r.wall_ms > 0) {
-      std::printf("  overlap speedup: %.2fx (check overlaps the "
-                  "supersteps; no offline trace)\n",
-                  seq_ms / r.wall_ms);
-    }
-  }
   std::vector<SweepRow> sweep;
   if (run_sim) {
     std::printf("\nguarantee scaling (payroll, %d employees, offline):\n",
@@ -665,6 +529,6 @@ int main(int argc, char** argv) {
   }
   std::printf("\npeak RSS: %zu KB\n", MaxRssKb());
 
-  if (!json_path.empty()) WriteJson(json_path, by_size, simcheck, sweep);
+  if (!json_path.empty()) WriteJson(json_path, by_size, sweep);
   return 0;
 }

@@ -21,8 +21,6 @@ class Duration {
   constexpr static Duration Minutes(int64_t m) { return Duration(m * 60000); }
   constexpr static Duration Hours(int64_t h) { return Duration(h * 3600000); }
   constexpr static Duration Zero() { return Duration(0); }
-  // Effectively-unbounded duration for "eventually" obligations.
-  constexpr static Duration Max() { return Duration(INT64_MAX / 4); }
 
   constexpr int64_t millis() const { return ms_; }
   constexpr double seconds() const { return static_cast<double>(ms_) / 1000.0; }
