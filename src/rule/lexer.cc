@@ -1,6 +1,7 @@
 #include "src/rule/lexer.h"
 
 #include <cctype>
+#include <cmath>
 
 #include "src/common/string_util.h"
 
@@ -149,6 +150,13 @@ Result<Duration> ParseDurationText(const std::string& text) {
     ms = v * 3600000;
   } else {
     return Status::InvalidArgument("bad duration unit: " + unit);
+  }
+  // Converting a double outside int64's range is undefined, and -2^63 ms
+  // could not be printed back (Duration::ToString negates it), so accept
+  // only |ms| < 2^63. NaN fails the comparison too.
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (!(std::fabs(ms) < kLimit)) {
+    return Status::InvalidArgument("duration out of range: " + text);
   }
   return Duration::Millis(static_cast<int64_t>(ms));
 }

@@ -33,8 +33,8 @@ namespace hcm::rule {
 //      other sites' windows. WR/RR/DEL steps reach raw sources whose
 //      replies feed back into matching; they are rejected.
 //
-// Messages fired by a rule passing this test may skip the parallel
-// engine's window clamp (sim::Executor::PostElidableAt): delivering the
+// Messages fired by a rule passing this test may skip the executor's
+// window clamp (sim::ParallelExecutor::PostElidableAt): delivering the
 // fire earlier or later relative to other lanes' windows changes neither
 // which facts it derives nor their recorded timestamps, because per-channel
 // FIFO order still holds and each binding's update chain has a single

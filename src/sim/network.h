@@ -13,8 +13,8 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/common/symbols.h"
-#include "src/sim/executor.h"
 #include "src/sim/failure_injector.h"
+#include "src/sim/parallel_executor.h"
 
 namespace hcm::sim {
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 namespace hcm::sim {
@@ -12,7 +13,7 @@ thread_local ParallelExecutor::Lane* ParallelExecutor::current_lane_ = nullptr;
 ParallelExecutor::ParallelExecutor(ParallelExecutorConfig config)
     : config_(config) {
   assert(config_.lookahead > Duration::Zero());
-  if (config_.num_threads < 1) config_.num_threads = 1;
+  if (config_.num_threads == 0) one_lane_ = EnsureLane(SiteId());
   if (config_.max_epochs_per_superstep < 1) {
     config_.max_epochs_per_superstep = 1;
   }
@@ -42,6 +43,7 @@ TimePoint ParallelExecutor::now() const {
 }
 
 ParallelExecutor::Lane* ParallelExecutor::EnsureLane(const SiteId& base_site) {
+  if (one_lane_ != nullptr) return one_lane_;
   auto it = lanes_.find(base_site);
   if (it == lanes_.end()) {
     auto lane = std::make_unique<Lane>(this, base_site);
@@ -53,6 +55,7 @@ ParallelExecutor::Lane* ParallelExecutor::EnsureLane(const SiteId& base_site) {
 }
 
 ParallelExecutor::Lane* ParallelExecutor::EnsureLaneSym(uint32_t base_sym) {
+  if (one_lane_ != nullptr) return one_lane_;
   auto it = lane_by_sym_.find(base_sym);
   if (it != lane_by_sym_.end()) return it->second;
   return EnsureLane(Symbols().name(base_sym));
@@ -106,7 +109,7 @@ Timer ParallelExecutor::ScheduleAt(uint32_t site_sym, TimePoint when,
                                    std::function<void()> fn) {
   Lane* current = current_lane_;
   if (current != nullptr && current->owner == this) {
-    if (current->sym == site_sym) {
+    if (current->sym == site_sym || current == one_lane_) {
       TimerPool::Ticket ticket = current->timers.Acquire();
       PushLane(current, when, std::move(fn), ticket);
       return Timer(&current->timers, ticket);
@@ -127,7 +130,7 @@ void ParallelExecutor::PostAt(uint32_t site_sym, TimePoint when,
                               std::function<void()> fn) {
   Lane* current = current_lane_;
   if (current != nullptr && current->owner == this) {
-    if (current->sym == site_sym) {
+    if (current->sym == site_sym || current == one_lane_) {
       PushLane(current, when, std::move(fn), TimerPool::Ticket{});
     } else {
       EmitCrossPost(current, site_sym, when, std::move(fn),
@@ -142,7 +145,7 @@ void ParallelExecutor::PostElidableAt(uint32_t site_sym, TimePoint when,
                                       std::function<void()> fn) {
   Lane* current = current_lane_;
   if (current != nullptr && current->owner == this) {
-    if (current->sym == site_sym) {
+    if (current->sym == site_sym || current == one_lane_) {
       PushLane(current, when, std::move(fn), TimerPool::Ticket{});
     } else {
       EmitCrossPost(current, site_sym, when, std::move(fn),
@@ -380,6 +383,25 @@ void ParallelExecutor::WorkerLoop() {
 
 size_t ParallelExecutor::RunSuperstep(TimePoint anchor, bool has_cap,
                                       TimePoint cap) {
+  if (one_lane_ != nullptr) {
+    // One lane has no cross-lane traffic to bound: it is the only
+    // participant and component, and its one epoch runs to the cap. The
+    // plan and the seats would cost more than a short run.
+    epochs_this_superstep_ = 1;
+    epoch_end_[0] = has_cap ? cap
+                            : TimePoint::FromMillis(
+                                  std::numeric_limits<int64_t>::max());
+    superstep_end_ = epoch_end_[0];
+    SweepLaneTop(one_lane_);
+    if (one_lane_->queue.empty() ||
+        superstep_end_ <= one_lane_->queue.front().when) {
+      return 0;
+    }
+    participants_.assign(1, one_lane_);
+    RunOneEpoch(one_lane_, 0);
+    return CloseSuperstep();
+  }
+
   // Epoch grid: depth_ lookahead-wide epochs from the anchor, truncated at
   // the cap (RunUntil's deadline). A pure function of the simulation.
   const Duration width = config_.lookahead;
@@ -558,7 +580,7 @@ size_t ParallelExecutor::RunUntil(TimePoint deadline) {
   return steps;
 }
 
-size_t ParallelExecutor::RunUntilIdle(size_t max_steps) {
+size_t ParallelExecutor::RunUntilIdle() {
   size_t steps = 0;
   TimePoint earliest;
   while (EarliestPending(&earliest)) {
@@ -567,9 +589,6 @@ size_t ParallelExecutor::RunUntilIdle(size_t max_steps) {
       TimePoint next;
       if (EarliestPending(&next)) DetachAtBarrier(next);
     }
-    // Superstep-granular bound: we never cut a superstep short, so the
-    // count may overshoot max_steps by up to one superstep.
-    if (max_steps != 0 && steps >= max_steps) break;
   }
   RunPendingDelivery();
   for (auto& [name, lane] : lanes_) {
@@ -596,7 +615,7 @@ double ParallelExecutor::parallelism() const {
 std::string ParallelExecutor::DescribeStats() const {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
-                "parallel executor: threads=%zu lanes=%zu\n"
+                "executor: threads=%zu lanes=%zu\n"
                 "  supersteps=%llu windows=%llu parallelism=%.2f\n"
                 "  cross_posts=%llu clamped=%llu elided=%llu\n",
                 config_.num_threads, lanes_.size(),

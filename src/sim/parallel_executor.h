@@ -5,6 +5,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -13,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/sim_time.h"
 #include "src/common/symbols.h"
 #include "src/sim/executor.h"
 
@@ -21,8 +23,10 @@ namespace hcm::sim {
 struct ParallelExecutorConfig {
   // Worker count, including the calling thread: num_threads = 1 runs every
   // superstep inline (no pool), num_threads = N spawns N-1 workers and the
-  // driving thread participates. Values are clamped to >= 1.
-  size_t num_threads = 1;
+  // driving thread participates. num_threads = 0 is the one-lane case:
+  // every site shares a single lane, so callbacks run in one global
+  // (time, schedule-seq) order, the classic sequential schedule.
+  size_t num_threads = 0;
 
   // Conservative lookahead L: the minimum latency of any cross-site
   // message. Epochs are L wide; within an epoch each site's callbacks are
@@ -40,8 +44,12 @@ struct ParallelExecutorConfig {
   size_t max_epochs_per_superstep = 16;
 };
 
-// Site-sharded discrete-event executor: the conservative-time-window PDES
-// engine behind SystemOptions::num_threads.
+// The discrete-event executor with a virtual clock, a conservative-time-
+// window PDES engine behind SystemOptions::num_threads. Every component of
+// the simulated system (raw sources, CM-Translators, CM-Shells, workload
+// generators, the network) schedules callbacks here, and each lane runs
+// them in (time, sequence) order, which gives Appendix A.2 property 1 a
+// deterministic total order by construction.
 //
 // Every callback is tagged (via the site-tagged ScheduleAt/PostAt variants)
 // with the site whose work it performs; each site gets a *lane* — its own
@@ -76,8 +84,8 @@ struct ParallelExecutorConfig {
 // drain order, sequence assignment) is a pure function of the simulation,
 // never of worker interleaving, so a run with N workers executes callbacks
 // in exactly the per-lane orders a 1-worker run does — traces and results
-// are bit-identical for any num_threads (the parallel-equivalence suite
-// enforces this).
+// are bit-identical for any num_threads >= 1 (the parallel-equivalence
+// suite enforces this).
 //
 // Conservativeness: a cross-lane post due inside the epoch it was emitted
 // in would have raced that epoch; it is clamped to the epoch end and
@@ -90,39 +98,86 @@ struct ParallelExecutorConfig {
 // lane; untagged scheduling from outside any superstep (e.g. main-thread
 // setup) lands on a control lane named "".
 //
-// Limitations (documented, asserted where cheap): Step() is unsupported;
-// Timers for cross-lane schedules cannot be cancelled;
-// Timer::Cancel must be called from the owning lane or between runs.
-class ParallelExecutor : public Executor {
+// The one-lane case (num_threads = 0) routes every tag to a single lane
+// and runs each superstep as one epoch up to the run's deadline: with no
+// cross-lane traffic there is nothing to synchronize, and the schedule is
+// the classic single-queue order.
+//
+// Limitations (documented, asserted where cheap): Timers for cross-lane
+// schedules cannot be cancelled; Timer::Cancel must be called from the
+// owning lane or between runs.
+class ParallelExecutor {
  public:
   // Upper bound on epochs per superstep (sizes the per-channel segment
   // ring, which is why it is a compile-time constant).
   static constexpr size_t kMaxEpochsPerSuperstep = 16;
 
-  explicit ParallelExecutor(ParallelExecutorConfig config);
-  ~ParallelExecutor() override;
+  explicit ParallelExecutor(ParallelExecutorConfig config = {});
+  ~ParallelExecutor();
 
-  TimePoint now() const override;
+  // The running callback's time inside a lane, the global clock outside.
+  TimePoint now() const;
 
-  Timer ScheduleAt(TimePoint when, std::function<void()> fn) override;
-  void PostAt(TimePoint when, std::function<void()> fn) override;
+  // Untagged scheduling: from inside a lane callback the entry stays on
+  // that lane; from outside any run it lands on the control lane "".
+  // Times before now() are clamped to it; the Timer cancels the entry.
+  Timer ScheduleAt(TimePoint when, std::function<void()> fn);
+  Timer ScheduleAfter(Duration delay, std::function<void()> fn) {
+    return ScheduleAt(now() + ClampDelay(delay), std::move(fn));
+  }
+  // Fire-and-forget variants: no Timer handle, so no cancellation ticket.
+  // The hot event path (network deliveries, RHS step chains) uses these.
+  void PostAt(TimePoint when, std::function<void()> fn);
+  void PostAfter(Duration delay, std::function<void()> fn) {
+    PostAt(now() + ClampDelay(delay), std::move(fn));
+  }
+
+  // Site-tagged variants: `site` is the endpoint or site whose work the
+  // callback performs (suffixes after '#' are ignored); it picks the lane.
   Timer ScheduleAt(const SiteId& site, TimePoint when,
-                   std::function<void()> fn) override;
-  void PostAt(const SiteId& site, TimePoint when,
-              std::function<void()> fn) override;
-  // Symbol-tagged fast path: lane routing by interned base-site id — an
-  // integer compare on the same-lane check, a hash-map probe otherwise.
-  // The string-tagged variants above intern and delegate here.
-  Timer ScheduleAt(uint32_t site_sym, TimePoint when,
-                   std::function<void()> fn) override;
-  void PostAt(uint32_t site_sym, TimePoint when,
-              std::function<void()> fn) override;
-  void PostElidableAt(uint32_t site_sym, TimePoint when,
-                      std::function<void()> fn) override;
+                   std::function<void()> fn);
+  Timer ScheduleAfter(const SiteId& site, Duration delay,
+                      std::function<void()> fn) {
+    return ScheduleAt(site, now() + ClampDelay(delay), std::move(fn));
+  }
+  void PostAt(const SiteId& site, TimePoint when, std::function<void()> fn);
+  void PostAfter(const SiteId& site, Duration delay,
+                 std::function<void()> fn) {
+    PostAt(site, now() + ClampDelay(delay), std::move(fn));
+  }
 
-  size_t RunUntil(TimePoint deadline) override;
-  size_t RunUntilIdle(size_t max_steps = 0) override;
-  size_t pending_count() const override;
+  // Symbol-tagged fast path: `site_sym` is the interned id of the *base*
+  // site name (callers strip any '#' suffix before interning; see
+  // BaseSiteOf). Lane routing is an integer compare on the same-lane check
+  // and a hash-map probe otherwise; the string-tagged variants above intern
+  // and delegate here.
+  Timer ScheduleAt(uint32_t site_sym, TimePoint when,
+                   std::function<void()> fn);
+  Timer ScheduleAfter(uint32_t site_sym, Duration delay,
+                      std::function<void()> fn) {
+    return ScheduleAt(site_sym, now() + ClampDelay(delay), std::move(fn));
+  }
+  void PostAt(uint32_t site_sym, TimePoint when, std::function<void()> fn);
+  void PostAfter(uint32_t site_sym, Duration delay,
+                 std::function<void()> fn) {
+    PostAt(site_sym, now() + ClampDelay(delay), std::move(fn));
+  }
+  // Like PostAt(site_sym, ...), but the callback is declared *elidable*: it
+  // carries the effect of a statically monotone rule (CALM), so a cross-
+  // lane delivery skips the window clamp (see the class comment).
+  void PostElidableAt(uint32_t site_sym, TimePoint when,
+                      std::function<void()> fn);
+
+  // Runs callbacks with scheduled time <= `deadline`, then sets the clock to
+  // `deadline`. Periodic self-rescheduling tasks (e.g. polling strategies)
+  // make the queue never-empty, so bounded runs are the normal mode.
+  // Returns the number of callbacks executed.
+  size_t RunUntil(TimePoint deadline);
+  // Runs for `d` of virtual time from now().
+  size_t RunFor(Duration d) { return RunUntil(now() + d); }
+  // Runs callbacks until every lane is empty.
+  size_t RunUntilIdle();
+  size_t pending_count() const;
 
   // --- Introspection (benches, tests; call between runs) ---
   size_t num_lanes() const { return lanes_.size(); }
@@ -169,6 +224,9 @@ class ParallelExecutor : public Executor {
  private:
   // Yields a worker spins through for the next superstep before sleeping.
   static constexpr int kSpinsBeforeSleep = 200;
+  static Duration ClampDelay(Duration d) {
+    return d < Duration::Zero() ? Duration::Zero() : d;
+  }
   struct Entry {
     TimePoint when;
     uint64_t seq;
@@ -282,6 +340,9 @@ class ParallelExecutor : public Executor {
   void RunPendingDelivery();
 
   ParallelExecutorConfig config_;
+  // The only lane when num_threads = 0 (every tag resolves to it), else
+  // null.
+  Lane* one_lane_ = nullptr;
   size_t depth_ = 1;  // current epochs-per-superstep (adaptive)
   TimePoint global_now_;
   std::function<void(TimePoint)> detach_hook_;
@@ -312,7 +373,7 @@ class ParallelExecutor : public Executor {
   std::vector<size_t> component_begin_;
   std::atomic<size_t> next_component_{0};  // the claim index
 
-  // Worker pool (empty when num_threads == 1). A superstep offers only as
+  // Worker pool (empty when num_threads <= 1). A superstep offers only as
   // many seats as it has components to hand out; a worker takes one (spin,
   // then sleep on work_cv_) and the driver spins until every seat is done.
   std::vector<std::thread> workers_;

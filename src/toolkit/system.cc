@@ -14,22 +14,21 @@
 namespace hcm::toolkit {
 
 System::System(SystemOptions options) : options_(options) {
+  sim::ParallelExecutorConfig config;
+  config.num_threads = options_.num_threads;
+  // Conservative lookahead: the network's minimum cross-site latency
+  // (clamped to one tick so degenerate configs still make progress).
+  config.lookahead = options_.network.base_latency > Duration::Millis(1)
+                         ? options_.network.base_latency
+                         : Duration::Millis(1);
+  config.max_epochs_per_superstep =
+      options_.max_epochs_per_superstep > 0 ? options_.max_epochs_per_superstep
+                                            : 1;
+  executor_ = std::make_unique<sim::Executor>(config);
+  // One lane records in execution order, so the plain recorder serves it.
   if (options_.num_threads > 0) {
-    sim::ParallelExecutorConfig config;
-    config.num_threads = options_.num_threads;
-    // Conservative lookahead: the network's minimum cross-site latency
-    // (clamped to one tick so degenerate configs still make progress).
-    config.lookahead = options_.network.base_latency > Duration::Millis(1)
-                           ? options_.network.base_latency
-                           : Duration::Millis(1);
-    config.max_epochs_per_superstep =
-        options_.max_epochs_per_superstep > 0
-            ? options_.max_epochs_per_superstep
-            : 1;
-    executor_ = std::make_unique<sim::ParallelExecutor>(config);
     recorder_ = std::make_unique<trace::ShardedTraceRecorder>();
   } else {
-    executor_ = std::make_unique<sim::Executor>();
     recorder_ = std::make_unique<trace::TraceRecorder>();
   }
   network_ = std::make_unique<sim::Network>(executor_.get(), options_.network);
@@ -507,11 +506,7 @@ std::string System::DescribeDispatchStats() const {
 }
 
 std::string System::DescribeExecutorStats() const {
-  auto* parallel = dynamic_cast<sim::ParallelExecutor*>(executor_.get());
-  if (parallel == nullptr) {
-    return "executor: single-queue (num_threads=0)\n";
-  }
-  return parallel->DescribeStats();
+  return executor_->DescribeStats();
 }
 
 std::string System::DescribeStorageStats() const {
@@ -601,14 +596,13 @@ Status System::AttachStreamingChecker(trace::StreamingChecker* checker,
   for (const auto& w : failures_.DownWindows()) {
     checker->NoteOutage(trace::SiteOutage{w.site, w.from, w.to});
   }
-  if (auto* parallel = dynamic_cast<sim::ParallelExecutor*>(executor_.get())) {
-    // Detach at the barrier; merge, renumber and check while the lanes run
-    // the next superstep.
-    trace::TraceRecorder* recorder = recorder_.get();
-    parallel->SetBarrierHook(
-        [recorder](TimePoint safe) { recorder->DetachReady(safe); },
-        [recorder] { recorder->DeliverDetached(); });
-  }
+  // Detach at the barrier; merge, renumber and check while the lanes run
+  // the next superstep. The plain recorder delivers inside Record, so its
+  // detach only forwards the watermark.
+  trace::TraceRecorder* recorder = recorder_.get();
+  executor_->SetBarrierHook(
+      [recorder](TimePoint safe) { recorder->DetachReady(safe); },
+      [recorder] { recorder->DeliverDetached(); });
   return Status::OK();
 }
 

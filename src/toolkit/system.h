@@ -9,9 +9,9 @@
 #include "src/ris/filestore/filestore.h"
 #include "src/ris/relational/database.h"
 #include "src/ris/whois/whois.h"
-#include "src/sim/executor.h"
 #include "src/sim/failure_injector.h"
 #include "src/sim/network.h"
+#include "src/sim/parallel_executor.h"
 #include "src/spec/constraint.h"
 #include "src/spec/strategy_spec.h"
 #include "src/spec/suggester.h"
@@ -30,11 +30,12 @@ namespace hcm::toolkit {
 struct SystemOptions {
   sim::NetworkConfig network;
   uint64_t seed = 42;
-  // 0 = classic single-queue executor (one global event order). >= 1 =
-  // site-sharded ParallelExecutor with this many worker threads (1 runs the
-  // same windowed engine inline — useful as the determinism baseline: a
-  // 1-thread and an N-thread run of the same deployment produce
-  // byte-identical traces and guarantee reports).
+  // The executor's worker threads (ParallelExecutorConfig::num_threads).
+  // 0 = one lane shared by every site (one global event order, recorded by
+  // the plain TraceRecorder). >= 1 = one lane per site with this many
+  // worker threads (1 runs the same windowed engine inline — the
+  // determinism baseline: a 1-thread and an N-thread run of the same
+  // deployment produce byte-identical traces and guarantee reports).
   size_t num_threads = 0;
   // Upper bound on the parallel engine's adaptive superstep depth: how many
   // lookahead-wide epochs one barrier interval may cover when no clamping
@@ -166,8 +167,8 @@ class System {
 
   // Wires a streaming checker into the run: attaches it as the recorder's
   // sink (drain = true stops accumulating the offline trace, bounding the
-  // recorder's memory too), streams the safe prefix from every parallel
-  // superstep barrier (the classic recorder streams per Record call), sizes
+  // recorder's memory too), streams the safe prefix from every superstep
+  // barrier (the plain recorder streams events per Record call), sizes
   // the sharded recorder's trigger-remap retention, and forwards outages —
   // both already-scheduled down windows and future ScheduleCrash calls.
   // With worker threads the barrier only detaches the prefix; merging it
@@ -216,9 +217,8 @@ class System {
   // One-line-per-site rendering of the above, for examples and benches.
   std::string DescribeDispatchStats() const;
 
-  // Parallel-engine efficiency block (supersteps, windows, parallelism
-  // metric, clamped/elided cross posts); a one-liner for the single-queue
-  // engine. For examples and benches.
+  // Executor efficiency block (supersteps, windows, parallelism metric,
+  // clamped/elided cross posts). For examples and benches.
   std::string DescribeExecutorStats() const;
 
   // Per-site storage counters (bases, deltas, compactions, files GC'd,
@@ -231,8 +231,8 @@ class System {
                                     bool lenient = false) const;
 
   SystemOptions options_;
-  // Engine selection (by num_threads) happens at construction; everything
-  // downstream talks to the virtual Executor / TraceRecorder interfaces.
+  // Recorder selection (by num_threads) happens at construction;
+  // everything downstream talks to the virtual TraceRecorder interface.
   std::unique_ptr<sim::Executor> executor_;
   sim::FailureInjector failures_;
   std::unique_ptr<sim::Network> network_;

@@ -16,6 +16,38 @@ TEST(ParseDurationTest, Units) {
   EXPECT_FALSE(ParseDurationText("").ok());
 }
 
+TEST(ParseDurationTest, RejectsValuesOutsideTheInt64MillisecondRange) {
+  for (const char* text :
+       {"9999999999999999999999s", "1e300ms", "1e300h", "1e308m",
+        "9223372036854775808ms", "-9223372036854775808ms", "1e999s"}) {
+    auto d = ParseDurationText(text);
+    EXPECT_FALSE(d.ok()) << text << " parsed as " << d->ToString();
+  }
+  // 2^63 - 1024 is the largest double below 2^63, so the largest δ that
+  // survives the conversion.
+  auto largest = ParseDurationText("9223372036854774784ms");
+  ASSERT_TRUE(largest.ok()) << largest.status().ToString();
+  EXPECT_EQ(largest->millis(), 9223372036854774784);
+  EXPECT_EQ(largest->ToString(), "9223372036854774784ms");
+}
+
+TEST(ParseRuleTest, OutOfRangeDeltaIsRejected) {
+  EXPECT_FALSE(ParseRule("N(x, a) -> 9999999999999999999999s W(y, a)").ok());
+  EXPECT_FALSE(ParseRule("N(x, a) -> 9223372036854775808ms W(y, a)").ok());
+  EXPECT_FALSE(ParseRule("Ws(X, b) -> 2562047788016h F").ok());
+  EXPECT_FALSE(ParseRule("P(2562047788016h) -> 1s RR(X)").ok());
+}
+
+TEST(ParseRuleTest, LargestDeltaPrintParsePrintIsAFixpoint) {
+  auto r1 = ParseRule("N(x, a) -> 9223372036854774784ms W(y, a)");
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  EXPECT_EQ(r1->delta.millis(), 9223372036854774784);
+  auto r2 = ParseRule(r1->ToString());
+  ASSERT_TRUE(r2.ok()) << r1->ToString();
+  EXPECT_EQ(r2->ToString(), r1->ToString());
+  EXPECT_EQ(r2->delta, r1->delta);
+}
+
 TEST(ParseRuleTest, PropagationStrategyFromPaper) {
   // Section 4.2.2: N(salary1(n), b) ->delta WR(salary2(n), b).
   auto r = ParseRule("N(salary1(n), b) -> 5s WR(salary2(n), b)");

@@ -1,8 +1,16 @@
-#include "src/sim/executor.h"
+// The executor's one-lane case (ParallelExecutorConfig::num_threads = 0,
+// the default): every site shares one lane, so callbacks run in one global
+// (time, schedule-seq) order whatever site they are tagged with.
+
+#include <functional>
+#include <optional>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
-#include <vector>
+#include "src/common/symbols.h"
+#include "src/sim/parallel_executor.h"
 
 namespace hcm::sim {
 namespace {
@@ -99,18 +107,6 @@ TEST(ExecutorTest, RunUntilStopsAtDeadlineAndAdvancesClock) {
   EXPECT_GT(ex.pending_count(), 0u);  // next tick still queued
 }
 
-TEST(ExecutorTest, RunUntilIdleRespectsMaxSteps) {
-  Executor ex;
-  std::function<void()> loop = [&] { ex.ScheduleAfter(Duration::Millis(1), loop); };
-  ex.ScheduleAfter(Duration::Millis(1), loop);
-  EXPECT_EQ(ex.RunUntilIdle(25), 25u);
-}
-
-TEST(ExecutorTest, StepReturnsFalseWhenEmpty) {
-  Executor ex;
-  EXPECT_FALSE(ex.Step());
-}
-
 TEST(ExecutorTest, NestedSchedulingDuringRunUntil) {
   Executor ex;
   std::vector<int> order;
@@ -121,6 +117,56 @@ TEST(ExecutorTest, NestedSchedulingDuringRunUntil) {
   });
   ex.RunUntil(TimePoint::FromMillis(20));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(ExecutorTest, OneLaneRunsSameInstantTagsInScheduleOrder) {
+  Executor ex;
+  std::vector<std::string> order;
+  auto log = [&order](std::string tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  // Site order would run A and A#tr (base site A) before B.
+  ex.PostAt("B", TimePoint::FromMillis(10), log("B"));
+  ex.ScheduleAt("A#tr", TimePoint::FromMillis(10), log("A#tr"));
+  ex.PostAt(Symbols().Intern("A"), TimePoint::FromMillis(10), log("A"));
+  ex.PostAt("C", TimePoint::FromMillis(5), [&] {
+    // Scheduled from inside a callback: queued behind the three above.
+    ex.PostAt("B", TimePoint::FromMillis(10), log("B2"));
+    ex.ScheduleAt("A", TimePoint::FromMillis(10), [&] {
+      order.push_back("A2");
+      // Same instant, scheduled while it runs: runs last, still at 10.
+      ex.PostAt("B", ex.now(), log("B3"));
+    });
+  });
+  EXPECT_EQ(ex.RunUntilIdle(), 7u);
+  EXPECT_EQ(order, (std::vector<std::string>{"B", "A#tr", "A", "B2", "A2",
+                                             "B3"}));
+  EXPECT_EQ(ex.now(), TimePoint::FromMillis(10));
+}
+
+TEST(ExecutorTest, OneLaneCrossSiteScheduleReturnsCancellableTimer) {
+  Executor ex;
+  bool string_tagged_ran = false;
+  bool symbol_tagged_ran = false;
+  std::optional<Timer> by_name;
+  std::optional<Timer> by_symbol;
+  ex.PostAt("A", TimePoint::FromMillis(10), [&] {
+    by_name = ex.ScheduleAfter("B#tr", Duration::Millis(5),
+                               [&] { string_tagged_ran = true; });
+    by_symbol = ex.ScheduleAt(Symbols().Intern("C"), TimePoint::FromMillis(20),
+                              [&] { symbol_tagged_ran = true; });
+  });
+  ex.PostAt("B", TimePoint::FromMillis(12), [&] {
+    by_name->Cancel();
+    by_symbol->Cancel();
+  });
+  ex.RunUntil(TimePoint::FromMillis(100));
+  EXPECT_FALSE(string_tagged_ran);
+  EXPECT_FALSE(symbol_tagged_ran);
+  ASSERT_TRUE(by_name.has_value() && by_symbol.has_value());
+  EXPECT_TRUE(by_name->cancelled());
+  EXPECT_TRUE(by_symbol->cancelled());
+  EXPECT_EQ(ex.pending_count(), 0u);
 }
 
 TEST(DurationTest, ArithmeticAndFormatting) {

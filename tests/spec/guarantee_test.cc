@@ -75,6 +75,21 @@ TEST(ParseGuaranteeTest, Errors) {
   EXPECT_FALSE(ParseGuarantee("not (X = 1)@t => (Y = 1)@t").ok());
 }
 
+TEST(ParseGuaranteeTest, OutOfRangeOffsetIsRejected) {
+  EXPECT_FALSE(ParseGuarantee("(X = x)@t1 => (Y = x)@t2 & "
+                              "t2 < t1 - 9999999999999999999999s")
+                   .ok());
+  EXPECT_FALSE(
+      ParseGuarantee("E(X)@t => E(Y)@in[t, t + 153722867280913m]").ok());
+  // The largest accepted offset prints and re-parses to itself.
+  auto g1 = ParseGuarantee(
+      "E(X)@t => E(Y)@in[t, t + 9223372036854774784ms]");
+  ASSERT_TRUE(g1.ok()) << g1.status().ToString();
+  auto g2 = ParseGuarantee(g1->ToString());
+  ASSERT_TRUE(g2.ok()) << g1->ToString();
+  EXPECT_EQ(g2->ToString(), g1->ToString());
+}
+
 TEST(ParseGuaranteeTest, ToStringRoundTrips) {
   const char* cases[] = {
       "(Y = y)@t1 => (X = y)@t2 & t2 < t1",

@@ -9,7 +9,9 @@
 // schedule with monotone-rule fires delivered clamp-free is byte-identical
 // to the fully clamped one-epoch-per-superstep schedule.
 
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -99,6 +101,63 @@ TEST(ParallelEquivalence, PayrollTraceAndGuaranteesMatchAnyThreadCount) {
       RunReport run = RunPayroll(threads, seed);
       ExpectIdentical(reference, run, threads, seed);
     }
+  }
+}
+
+// num_threads = 0 runs every site on one lane, which must keep the classic
+// sequential schedule. Bursts of same-instant writes keep both sites busy
+// inside one lookahead window, where per-site lanes would reorder them.
+// The FNV-1a hashes of the trace bytes plus the guarantee report were
+// taken from the single-queue engine the one-lane case replaced; a change
+// here changes every num_threads = 0 trace.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+uint64_t OneLanePayrollBurstsHash(uint64_t seed) {
+  auto d = bench::PayrollDeployment::Create(
+      "interface notify salary1(n) 1s\n", /*num_employees=*/12,
+      sim::NetworkConfig{}, /*num_threads=*/0);
+  auto& system = *d.system;
+  auto suggestions = *system.Suggest(d.constraint);
+  EXPECT_EQ(system.InstallStrategy("payroll", d.constraint,
+                                   suggestions.at(0).strategy),
+            Status::OK());
+  Rng rng(seed);
+  for (int step = 0; step < 40; ++step) {
+    for (int w = 0; w < 4; ++w) {
+      int n = static_cast<int>(rng.UniformInt(1, 12));
+      int salary = static_cast<int>(rng.UniformInt(50000, 90000));
+      EXPECT_EQ(system.WorkloadWrite(rule::ItemId{"salary1", {Value::Int(n)}},
+                                     Value::Int(salary)),
+                Status::OK());
+    }
+    system.RunFor(Duration::Millis(rng.UniformInt(5, 400)));
+  }
+  system.RunFor(Duration::Minutes(2));
+  trace::Trace t = system.FinishTrace();
+  std::string bytes = trace::SerializeTrace(t);
+  trace::GuaranteeCheckOptions opts;
+  opts.settle_margin = Duration::Minutes(1);
+  for (auto make : {spec::YFollowsX, spec::XLeadsY}) {
+    auto result = trace::CheckGuarantee(t, make("salary1(n)", "salary2(n)"),
+                                        opts);
+    EXPECT_TRUE(result.ok());
+    bytes += result->ToString();
+  }
+  return Fnv1a(bytes);
+}
+
+TEST(ParallelEquivalence, OneLanePayrollKeepsTheSequentialSchedule) {
+  const std::pair<uint64_t, uint64_t> expected[] = {
+      {7, 0x68f8c16b8bc18afaull}, {21, 0x81e03d9df13bd9d1ull}};
+  for (const auto& [seed, hash] : expected) {
+    EXPECT_EQ(OneLanePayrollBurstsHash(seed), hash) << "seed=" << seed;
   }
 }
 

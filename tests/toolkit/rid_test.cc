@@ -95,6 +95,18 @@ TEST(RidParseTest, Errors) {
   EXPECT_FALSE(ParseRid("ris r\nsite A\nparam nameonly\n").ok());
 }
 
+TEST(RidParseTest, OutOfRangeDurationsAreRejected) {
+  EXPECT_FALSE(
+      ParseRid("ris r\nsite A\ninterface notify X 9999999999999999999999s\n")
+          .ok());
+  EXPECT_FALSE(ParseRid("ris r\nsite A\ninterface write X 1e300ms\n").ok());
+  // An out-of-range param is not a duration: the fallback applies.
+  auto config = ParseRid("ris r\nsite A\nparam write_delay 1e300ms\n");
+  ASSERT_TRUE(config.ok()) << config.status().ToString();
+  EXPECT_EQ(config->ParamDuration("write_delay", Duration::Seconds(2)),
+            Duration::Seconds(2));
+}
+
 TEST(SubstituteCommandTest, Placeholders) {
   auto render = [](const Value& v) { return v.ToString(); };
   Value value = Value::Int(99);

@@ -3,13 +3,14 @@
 // guarantee reports — byte-identical to the offline checkers over the
 // finished trace. Exercised in tee mode (sink attached, offline trace
 // still accumulated, both checked) over the E1 payroll deployment and the
-// E9 Stanford deployment at 1 and 4 worker threads, over a randomized
+// E9 Stanford deployment at 0, 1 and 4 worker threads, over a randomized
 // 100k-event trace with injected violations (reported live, mid-run), over
 // a randomized trace whose rule program uses every matching feature (LHS
 // and step conditions, prohibitions, repeated variables, whole-base reads)
-// with violations of properties 2 and 4-7, and over a crash/recover run against the outage-aware offline checker on the
-// sequential and the parallel engine. The overlap case checks the parallel
-// engine's delivery contract in tee and drain mode at 1, 2 and 4 threads:
+// with violations of properties 2 and 4-7, and over a crash/recover run
+// against the outage-aware offline checker at 0 and 4 threads. The overlap
+// case checks the engine's delivery contract in tee and drain mode at 0, 1,
+// 2 and 4 threads:
 // identical reports, everything delivered when RunFor returns, and checker
 // callbacks only on the RunFor caller's thread.
 
@@ -100,7 +101,7 @@ CheckedRun StreamingResult(const StreamingChecker& checker) {
   return run;
 }
 
-// --- E1 payroll, tee mode, 1 and 4 threads ---
+// --- E1 payroll, tee mode, 0, 1 and 4 threads ---
 
 void RunPayrollTee(size_t threads) {
   auto d = bench::PayrollDeployment::Create(
@@ -161,7 +162,11 @@ TEST(StreamingCheckTest, PayrollTeeMatchesOfflineFourThreads) {
   RunPayrollTee(4);
 }
 
-// --- E9 Stanford (whois + filestore + relational), 1 and 4 threads ---
+TEST(StreamingCheckTest, PayrollTeeMatchesOfflineZeroThreads) {
+  RunPayrollTee(0);
+}
+
+// --- E9 Stanford (whois + filestore + relational), 0, 1 and 4 threads ---
 
 constexpr const char* kRidWhois = R"(
 ris whois
@@ -284,6 +289,10 @@ TEST(StreamingCheckTest, StanfordTeeMatchesOfflineFourThreads) {
   RunStanfordTee(4);
 }
 
+TEST(StreamingCheckTest, StanfordTeeMatchesOfflineZeroThreads) {
+  RunStanfordTee(0);
+}
+
 // --- Delivery overlapped with the next superstep ---
 //
 // With worker threads the System only detaches the trace's safe prefix at
@@ -344,44 +353,61 @@ void RunStanfordOverlap(size_t threads, bool drain, OverlapRun* run) {
   run->live_violations = checker.stats().live_violations;
 }
 
-TEST(StreamingCheckTest, OverlappedDeliveryMatchesOfflineAtAnyThreadCount) {
-  OverlapRun reference;
-  ASSERT_NO_FATAL_FAILURE(RunStanfordOverlap(1, /*drain=*/false, &reference));
-  ASSERT_FALSE(reference.trace.events.empty());
+// A tee run whose live reports match the offline check of its own trace.
+void RunOverlapReference(size_t threads, OverlapRun* reference) {
+  ASSERT_NO_FATAL_FAILURE(RunStanfordOverlap(threads, /*drain=*/false,
+                                             reference));
+  ASSERT_FALSE(reference->trace.events.empty());
   GuaranteeCheckOptions gopts;
   gopts.settle_margin = Duration::Minutes(1);
-  CheckedRun offline = OfflineCheck(reference.trace, reference.rules,
-                                    reference.guarantees, {}, gopts);
-  EXPECT_EQ(reference.checked.execution, offline.execution);
-  EXPECT_EQ(reference.checked.guarantees, offline.guarantees);
+  CheckedRun offline = OfflineCheck(reference->trace, reference->rules,
+                                    reference->guarantees, {}, gopts);
+  EXPECT_EQ(reference->checked.execution, offline.execution);
+  EXPECT_EQ(reference->checked.guarantees, offline.guarantees);
   EXPECT_NE(offline.execution.find("property 6"), std::string::npos)
       << offline.execution;
+}
+
+void ExpectOverlapMatchesReference(const OverlapRun& reference,
+                                   size_t threads, bool drain) {
+  SCOPED_TRACE("threads=" + std::to_string(threads) +
+               (drain ? " drain" : " tee"));
+  OverlapRun run;
+  ASSERT_NO_FATAL_FAILURE(RunStanfordOverlap(threads, drain, &run));
+  EXPECT_EQ(run.checked.execution, reference.checked.execution);
+  EXPECT_EQ(run.checked.guarantees, reference.checked.guarantees);
+  EXPECT_EQ(run.trace.events.size(),
+            drain ? 0 : reference.trace.events.size());
+  // Every batch detached before RunFor returned was delivered by then.
+  ASSERT_EQ(run.seen_after_run.size(), reference.seen_after_run.size());
+  for (const auto& [deadline, seen] : run.seen_after_run) {
+    size_t before = static_cast<size_t>(std::count_if(
+        reference.trace.events.begin(), reference.trace.events.end(),
+        [deadline = deadline](const Event& e) { return e.time < deadline; }));
+    EXPECT_EQ(seen, before) << "after RunFor to " << deadline.ToString();
+  }
+  // Checker callbacks run on the thread that called RunFor.
+  EXPECT_GT(run.live_violations, 0u);
+  EXPECT_EQ(run.violation_threads,
+            std::set<std::thread::id>{std::this_thread::get_id()});
+}
+
+TEST(StreamingCheckTest, OverlappedDeliveryMatchesOfflineAtAnyThreadCount) {
+  OverlapRun reference;
+  ASSERT_NO_FATAL_FAILURE(RunOverlapReference(1, &reference));
   for (size_t threads : {1, 2, 4}) {
     for (bool drain : {false, true}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   (drain ? " drain" : " tee"));
-      OverlapRun run;
-      ASSERT_NO_FATAL_FAILURE(RunStanfordOverlap(threads, drain, &run));
-      EXPECT_EQ(run.checked.execution, reference.checked.execution);
-      EXPECT_EQ(run.checked.guarantees, reference.checked.guarantees);
-      EXPECT_EQ(run.trace.events.size(),
-                drain ? 0 : reference.trace.events.size());
-      // Every batch detached before RunFor returned was delivered by then.
-      ASSERT_EQ(run.seen_after_run.size(), reference.seen_after_run.size());
-      for (const auto& [deadline, seen] : run.seen_after_run) {
-        size_t before = static_cast<size_t>(std::count_if(
-            reference.trace.events.begin(), reference.trace.events.end(),
-            [deadline = deadline](const Event& e) {
-              return e.time < deadline;
-            }));
-        EXPECT_EQ(seen, before) << "after RunFor to " << deadline.ToString();
-      }
-      // Checker callbacks run on the thread that called RunFor.
-      EXPECT_GT(run.live_violations, 0u);
-      EXPECT_EQ(run.violation_threads,
-                std::set<std::thread::id>{std::this_thread::get_id()});
+      ExpectOverlapMatchesReference(reference, threads, drain);
     }
   }
+}
+
+// The one-lane case records a different (sequential) schedule, so it is
+// checked against its own tee run, through the same barrier hook.
+TEST(StreamingCheckTest, DrainAtZeroThreadsMatchesOffline) {
+  OverlapRun reference;
+  ASSERT_NO_FATAL_FAILURE(RunOverlapReference(0, &reference));
+  ExpectOverlapMatchesReference(reference, 0, /*drain=*/true);
 }
 
 // --- Randomized 100k-event trace with injected violations ---
